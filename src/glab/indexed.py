@@ -13,19 +13,17 @@ Terminal daughters always carry no stack.  A production with an empty right
 hand side produces a single empty-string leaf, so internal nodes always have
 at least one child and a derivation tree has at least two nodes.
 
-Two language engines live here and deliberately stay separate so they can be
-checked against each other:
+Two language engines serve indexed grammars and deliberately stay separate
+so they can be checked against each other:
 
 * ``enumerate_derivations`` streams every derivation tree within a node budget
   in a fixed order (ascending node count, ties by the production-index
   sequence read in address order).  It is the reference semantics and the
   brute-force oracle.
-* ``indexed_language_upto`` / ``indexed_membership`` run a worklist fixpoint
-  over states (nonterminal, stack), computing for every reachable state the
-  yields of bounded length together with a minimal witness.  State discovery
-  is gated by an optimistic minimum-yield bound on truncated stacks, which is
-  an exact exclusion; stack-length and state-count caps are budget events and
-  set the exhausted flag.
+* ``indexed_language_upto`` / ``indexed_membership`` compile the productions
+  to the rules of ``glab.stackengine``, the fixpoint engine shared with
+  stack-form unification grammars, and map its witness back to a derivation
+  tree.
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ from typing import Iterator, Mapping, Union
 
 from .budget import Budget, DEFAULT_BUDGET, LanguageResult, SearchStats
 from .errors import GrammarError
+from .stackengine import COPY, PUSH, Child, Fixpoint, Rule, Stack, Word, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
-
-Stack = tuple[str, ...]
-Word = tuple[str, ...]
 
 
 def _check_symbol(sym: str, role: str) -> None:
@@ -159,13 +155,7 @@ class IndexedGrammar:
 
     def parse_word(self, text: str) -> Word:
         """Split surface text into terminal symbols and validate them."""
-        if text == "":
-            return ()
-        parts = tuple(text) if self.single_char_terminals else tuple(text.split())
-        for s in parts:
-            if s not in self.symbols.terminal_set:
-                raise GrammarError(f"{s!r} is not a terminal of this grammar")
-        return parts
+        return terminal_word(text, self.symbols.terminal_set, self.single_char_terminals)
 
 
 # --------------------------------------------------------------------------
@@ -448,19 +438,11 @@ class _SizedEnumerator:
             if self.stats.steps > self.budget.max_steps:
                 self.stats.mark_exhausted("max_steps")
                 break
-            slots = []
-            fixed = 0
-            for spec in specs:
-                if isinstance(spec, LeafLabel):
-                    slots.append(spec)
-                    fixed += 1
-                else:
-                    slots.append(spec)
-            free = [i for i, s in enumerate(slots) if isinstance(s, NodeLabel)]
-            remaining = size - 1 - fixed
+            free = [i for i, s in enumerate(specs) if isinstance(s, NodeLabel)]
+            remaining = size - 1 - (len(specs) - len(free))
             if not free:
                 if remaining == 0:
-                    children = tuple((_LEAF, s.symbol) for s in slots)
+                    children = tuple((_LEAF, s.symbol) for s in specs)
                     out.append(((pi,), NodeLabel(sym, stack), children))
                 continue
             # distribute `remaining` nodes over the nonterminal slots, >= 2 each
@@ -468,7 +450,7 @@ class _SizedEnumerator:
                 parts = []
                 dead = False
                 for idx, sz in zip(free, combo):
-                    spec = slots[idx]
+                    spec = specs[idx]
                     subs = self.subtrees(spec.symbol, spec.stack, sz)
                     if not subs:
                         dead = True
@@ -480,7 +462,7 @@ class _SizedEnumerator:
                     children: list = []
                     seq: tuple[int, ...] = (pi,)
                     it = iter(chosen)
-                    for s in slots:
+                    for s in specs:
                         if isinstance(s, LeafLabel):
                             children.append((_LEAF, s.symbol))
                         else:
@@ -547,264 +529,23 @@ def enumerate_derivations(
 
 
 # --------------------------------------------------------------------------
-# Minimum-yield bound on truncated stacks
-
-_TRUNC = "\x00..."
-_TAU = 6
-
-
-class _MinYieldOracle:
-    """Optimistic lower bound on the yield length reachable from (sym, stack).
-
-    Stacks are abstracted to their first _TAU entries plus a truncation
-    marker; a pop on the marker optimistically matches every pop rule.  The
-    least fixpoint is computed by worklist relaxation, so the bound is exact
-    on the abstract system and a true lower bound on the concrete one.
-    """
-
-    def __init__(self, g: IndexedGrammar, cap: int):
-        self.g = g
-        self.cap = cap  # saturation value: maxlen + 1
-        self.value: dict[tuple[str, Stack], int] = {}
-        self.deps: dict[tuple[str, Stack], set[tuple[str, Stack]]] = {}
-
-    def _abstract(self, sym: str, stack: Stack) -> tuple[str, Stack]:
-        if len(stack) > _TAU:
-            return (sym, stack[:_TAU] + (_TRUNC,))
-        return (sym, stack)
-
-    def _successors(self, state: tuple[str, Stack]):
-        sym, stack = state
-        truncated = stack and stack[-1] == _TRUNC
-        core = stack[:-1] if truncated else stack
-        for p in self.g.productions:
-            if p.lhs != sym:
-                continue
-            if isinstance(p, Push):
-                child = (p.index,) + core
-                if truncated or len(child) > _TAU:
-                    child = child[:_TAU] + (_TRUNC,)
-                yield [self._key(p.rhs, child)], 0
-            elif isinstance(p, Pop):
-                if core:
-                    if core[0] != p.index:
-                        continue
-                    tail: Stack = core[1:] + ((_TRUNC,) if truncated else ())
-                elif truncated:
-                    tail = (_TRUNC,)  # unknown suffix, optimistically any index
-                else:
-                    continue
-                yield self._rhs_states(p.rhs, tail)
-            else:
-                tail = core + ((_TRUNC,) if truncated else ())
-                yield self._rhs_states(p.rhs, tail)
-
-    def _key(self, sym: str, stack: Stack):
-        return (sym, stack)
-
-    def _rhs_states(self, rhs: tuple[str, ...], tail: Stack):
-        states = []
-        terminals = 0
-        for s in rhs:
-            if s in self.g.symbols.nonterminal_set:
-                states.append((s, tail))
-            else:
-                terminals += 1
-        return states, terminals
-
-    def bound(self, sym: str, stack: Stack) -> int:
-        state = self._abstract(sym, stack)
-        if state in self.value:
-            return self.value[state]
-        # discover the abstract closure from this state, then relax to fixpoint
-        new = [state]
-        seen = {state}
-        succ_cache: dict = {}
-        while new:
-            s = new.pop()
-            if s in self.value:
-                continue
-            self.value[s] = self.cap
-            succ_cache[s] = list(self._successors(s))
-            for children, _ in succ_cache[s]:
-                for c in children:
-                    self.deps.setdefault(c, set()).add(s)
-                    if c not in seen and c not in self.value:
-                        seen.add(c)
-                        new.append(c)
-        work = list(succ_cache)
-        in_work = set(work)
-        while work:
-            s = work.pop()
-            in_work.discard(s)
-            best = self.value[s]
-            for children, terminals in succ_cache.get(s) or self._cached_succ(succ_cache, s):
-                total = terminals
-                for c in children:
-                    total += self.value.get(c, self.cap)
-                    if total >= best:
-                        break
-                if total < best:
-                    best = total
-            if best < self.value[s]:
-                self.value[s] = best
-                for parent in self.deps.get(s, ()):
-                    if parent not in in_work and parent in self.value:
-                        work.append(parent)
-                        in_work.add(parent)
-        return self.value[state]
-
-    def _cached_succ(self, cache, s):
-        if s not in cache:
-            cache[s] = list(self._successors(s))
-        return cache[s]
-
-
-# --------------------------------------------------------------------------
 # Fixpoint language engine
 
 
-@dataclass(frozen=True)
-class _Entry:
-    cost: int
-    seq: tuple[int, ...]
-    rule: int
-    children: tuple  # ("t", sym) | ("eps",) | ("s", state, key)
-
-
-_State = tuple[str, Stack]
-
-
-class _IndexedFixpoint:
-    """Per-state yield sets with minimal witnesses, to a least fixpoint."""
-
-    def __init__(self, g: IndexedGrammar, maxlen: int, budget: Budget):
-        self.g = g
-        self.maxlen = maxlen
-        self.budget = budget
-        self.stats = SearchStats()
-        self.oracle = _MinYieldOracle(g, maxlen + 1)
-        self.entries: dict[_State, dict[Word, _Entry]] = {}
-        self.deps: dict[_State, set[tuple[_State, int]]] = {}
-        self.root: _State = (g.start, ())
-        self._pending: list[tuple[_State, int]] = []
-        self._pending_set: set[tuple[_State, int]] = set()
-        self._stack_cap = min(budget.max_stack, budget.max_nodes)
-
-    # -- state management
-
-    def _discover(self, state: _State) -> bool:
-        if state in self.entries:
-            return True
-        sym, stack = state
-        if len(stack) > self._stack_cap:
-            self.stats.mark_exhausted("max_stack")
-            return False
-        if self.oracle.bound(sym, stack) > self.maxlen:
-            return False  # exact exclusion, not a budget event
-        if len(self.entries) >= self.budget.max_states:
-            self.stats.mark_exhausted("max_states")
-            return False
-        self.entries[state] = {}
-        self.stats.states += 1
-        for pi, p in enumerate(self.g.productions):
-            if p.lhs == sym and _child_specs(self.g, p, stack) is not None:
-                self._enqueue((state, pi))
-        return True
-
-    def _enqueue(self, combo: tuple[_State, int]) -> None:
-        if combo not in self._pending_set:
-            self._pending_set.add(combo)
-            self._pending.append(combo)
-
-    # -- relaxation
-
-    def run(self) -> None:
-        self._discover(self.root)
-        while self._pending:
-            if self.stats.steps > self.budget.max_steps:
-                self.stats.mark_exhausted("max_steps")
-                break
-            combo = self._pending.pop(0)
-            self._pending_set.discard(combo)
-            self._process(combo)
-
-    def _process(self, combo: tuple[_State, int]) -> None:
-        state, pi = combo
-        sym, stack = state
-        p = self.g.productions[pi]
-        specs = _child_specs(self.g, p, stack)
-        if specs is None:
-            return
-        child_lists: list[list[tuple[Word, int, tuple[int, ...], tuple]]] = []
-        for spec in specs:
-            if isinstance(spec, LeafLabel):
-                w: Word = (spec.symbol,) if spec.symbol else ()
-                tag = ("t", spec.symbol) if spec.symbol else ("eps",)
-                child_lists.append([(w, 1, (), tag)])
-            else:
-                cstate = (spec.symbol, spec.stack)
-                if not self._discover(cstate):
-                    return
-                self.deps.setdefault(cstate, set()).add(combo)
-                options = [
-                    (y, e.cost, e.seq, ("s", cstate, y))
-                    for y, e in sorted(self.entries[cstate].items())
-                ]
-                if not options:
-                    return
-                child_lists.append(options)
-        changed = False
-        for chosen in itertools.product(*child_lists):
-            self.stats.steps += 1
-            if self.stats.steps > self.budget.max_steps:
-                self.stats.mark_exhausted("max_steps")
-                return
-            total_len = sum(len(c[0]) for c in chosen)
-            if total_len > self.maxlen:
-                continue
-            cost = 1 + sum(c[1] for c in chosen)
-            if cost > self.budget.max_nodes:
-                continue
-            word: Word = sum((c[0] for c in chosen), ())
-            seq = (pi,) + sum((c[2] for c in chosen), ())
-            entry = _Entry(cost, seq, pi, tuple(c[3] for c in chosen))
-            store = self.entries[state]
-            old = store.get(word)
-            if old is None or (cost, seq) < (old.cost, old.seq):
-                store[word] = entry
-                changed = True
-        if changed:
-            for parent_combo in self.deps.get(state, ()):
-                self._enqueue(parent_combo)
-
-    # -- results
-
-    def language(self) -> tuple[Word, ...]:
-        words = self.entries.get(self.root, {})
-        return tuple(sorted(words, key=lambda w: (len(w), w)))
-
-    def witness(self, word: Word) -> DerivationTree | None:
-        store = self.entries.get(self.root, {})
-        if word not in store:
-            return None
-        labels: dict[TreeAddress, Label] = {}
-
-        def build(state: _State, key: Word, addr: TreeAddress) -> None:
-            sym, stack = state
-            labels[addr] = NodeLabel(sym, stack)
-            e = self.entries[state][key]
-            for i, tag in enumerate(e.children, start=1):
-                child_addr = addr.child(i)
-                if tag[0] == "t":
-                    labels[child_addr] = LeafLabel(tag[1])
-                elif tag[0] == "eps":
-                    labels[child_addr] = LeafLabel("")
-                else:
-                    build(tag[1], tag[2], child_addr)
-
-        build(self.root, word, ROOT)
-        return tree_of(labels)
+def _stack_rules(g: IndexedGrammar) -> list[Rule]:
+    """The productions as stack-engine rules, numbered as in g: a push pushes
+    onto its one child, a pop is a guard over copying children, and a plain
+    rule copies.  Terminals become leaves, an empty right-hand side one
+    empty-string leaf."""
+    nts = g.symbols.nonterminal_set
+    rules = []
+    for p in g.productions:
+        if isinstance(p, Push):
+            rules.append(Rule(p.lhs, None, (Child(p.rhs, PUSH, p.index),)))
+            continue
+        children = tuple(Child(s, COPY) if s in nts else Child(s) for s in p.rhs) or (Child(""),)
+        rules.append(Rule(p.lhs, p.index if isinstance(p, Pop) else None, children))
+    return rules
 
 
 def indexed_language_upto(g: IndexedGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:
@@ -816,9 +557,7 @@ def indexed_language_upto(g: IndexedGrammar, maxlen: int, budget: Budget = DEFAU
     """
     if maxlen < 0:
         raise GrammarError("maxlen must be >= 0")
-    fp = _IndexedFixpoint(g, maxlen, budget)
-    fp.run()
-    return LanguageResult(fp.language(), fp.stats.exhausted, tuple(fp.stats.reasons))
+    return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
 
 
 @dataclass(frozen=True)
@@ -831,16 +570,13 @@ class MembershipResult:
 def indexed_membership(g: IndexedGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Decide whether w has a derivation within budget; on success return a
     minimal-node witness tree (ties broken by production-index sequence)."""
-    word = g.parse_word(w) if isinstance(w, str) else tuple(w)
-    for s in word:
-        if s not in g.symbols.terminal_set:
-            raise GrammarError(f"{s!r} is not a terminal of this grammar")
-    fp = _IndexedFixpoint(g, len(word), budget)
-    fp.run()
-    witness = fp.witness(word)
-    if witness is not None:
-        report = validate_derivation_tree(g, witness)
-        if not report.ok:  # pragma: no cover - engine invariant
-            raise GrammarError(f"internal error: witness failed validation: {report.first_error}")
-        return MembershipResult(True, witness, fp.stats.exhausted)
-    return MembershipResult(False, None, fp.stats.exhausted)
+    word = terminal_word(w, g.symbols.terminal_set, g.single_char_terminals)
+    fp = Fixpoint(_stack_rules(g), g.start, len(word), budget).run()
+    walk = fp.witness(word)
+    if walk is None:
+        return MembershipResult(False, None, fp.stats.exhausted)
+    witness = tree_of({a: LeafLabel(item) if isinstance(item, str) else NodeLabel(*item) for a, _, item in walk})
+    report = validate_derivation_tree(g, witness)
+    if not report.ok:  # pragma: no cover - engine invariant
+        raise GrammarError(f"internal error: witness failed validation: {report.first_error}")
+    return MembershipResult(True, witness, fp.stats.exhausted)

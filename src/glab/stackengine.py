@@ -1,0 +1,352 @@
+"""One bounded-search engine over index stacks, shared by both formalisms.
+
+Indexed grammars and stack-form unification grammars are one machine: a
+nonterminal carries a stack of index values, and a rule hands each child the
+mother's stack unchanged, with a value pushed, or with the top value popped.
+Both formalisms compile their rules to the Rule form below, numbered as in
+the source grammar, and this module computes, for every reachable state
+(nonterminal, stack), the yields of bounded length together with a minimal
+witness: fewest nodes, ties broken by the rule-number sequence in preorder.
+
+A rule may carry a guard, the value a pop A^f -> alpha needs on top of the
+mother's stack; its children then see the rest of the stack.  A guard on an
+empty stack is dead.  A child that pops an empty stack instead records a
+demand: the values that pops reaching below the root insist on, position by
+position.  Entries are keyed by (yield, demand).  Sibling demands must agree
+as prefixes of one another since they constrain the same chain; the root
+accepts any demand because the chain below a free node can always be built.
+Only stack-form rules pop a child, so indexed searches carry no demand.
+
+State discovery is gated by an optimistic minimum-yield bound on truncated
+stacks, which is an exact exclusion; stack-length and state-count caps are
+budget events and set the exhausted flag.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+from typing import Collection, NamedTuple, Sequence
+
+from .budget import Budget, LanguageResult, SearchStats
+from .errors import GrammarError
+from .trees import ROOT, TreeAddress
+
+Stack = tuple[str, ...]
+Word = tuple[str, ...]
+State = tuple[str, Stack]
+
+COPY, PUSH, POP = "copy", "push", "pop"
+
+_TRUNC = "\x00..."
+_TAU = 6
+
+
+class Child(NamedTuple):
+    """A leaf when op is None (symbol is a terminal, or "" for the empty
+    string); otherwise a nonterminal whose stack is the mother's, after the
+    guard, with op (COPY, PUSH or POP) applied for value."""
+
+    symbol: str
+    op: str | None = None
+    value: str | None = None
+
+
+class Rule(NamedTuple):
+    mother: str
+    guard: str | None
+    children: tuple[Child, ...]
+
+
+def terminal_word(w: Sequence[str] | str, terminals: Collection[str], single_char: bool) -> Word:
+    """w as a tuple of terminal symbols.  Text is split into characters when
+    every terminal is one character long, else at whitespace."""
+    if isinstance(w, str):
+        w = w if single_char else w.split()
+    for s in w:
+        if s not in terminals:
+            raise GrammarError(f"{s!r} is not a terminal of this grammar")
+    return tuple(w)
+
+
+# --------------------------------------------------------------------------
+# Minimum-yield bound on truncated stacks
+
+
+def _push(value: str, stack: Stack) -> Stack:
+    out = (value,) + stack
+    if len(out) - (out[-1] == _TRUNC) > _TAU:
+        return out[:_TAU] + (_TRUNC,)
+    return out
+
+
+def _pop(stack: Stack, value: str) -> Stack | None:
+    """The stack below value, or None when another value is on top.  An empty
+    stack stays empty, and the truncation marker matches every value."""
+    if not stack or stack[0] == _TRUNC:
+        return stack
+    return stack[1:] if stack[0] == value else None
+
+
+class _MinYield:
+    """Optimistic lower bound on the yield length reachable from a state.
+
+    Stacks are abstracted to their first _TAU entries plus a truncation
+    marker; a pop on the marker optimistically matches every value.  The
+    least fixpoint is computed by worklist relaxation, so the bound is exact
+    on the abstract system and a true lower bound on the concrete one.
+    """
+
+    def __init__(self, rules: Sequence[Rule], by_mother: dict[str, list[int]], cap: int):
+        self.rules = rules
+        self.by_mother = by_mother
+        self.cap = cap  # saturation value: maxlen + 1
+        self.value: dict[State, int] = {}
+        self.deps: dict[State, set[State]] = {}
+
+    def _successors(self, state: State):
+        sym, stack = state
+        for ri in self.by_mother.get(sym, ()):
+            rule = self.rules[ri]
+            base: Stack | None = stack
+            if rule.guard is not None:
+                base = _pop(stack, rule.guard) if stack else None
+                if base is None:
+                    continue
+            children: list[State] = []
+            terminals = 0
+            for c in rule.children:
+                if c.op is None:
+                    terminals += bool(c.symbol)
+                    continue
+                if c.op == COPY:
+                    cstack: Stack | None = base
+                elif c.op == PUSH:
+                    cstack = _push(c.value, base)
+                else:
+                    cstack = _pop(base, c.value)
+                    if cstack is None:
+                        break
+                children.append((c.symbol, cstack))
+            else:
+                yield children, terminals
+
+    def bound(self, sym: str, stack: Stack) -> int:
+        state = (sym, stack[:_TAU] + (_TRUNC,)) if len(stack) > _TAU else (sym, stack)
+        if state in self.value:
+            return self.value[state]
+        # discover the abstract closure from this state, then relax to fixpoint
+        new = [state]
+        succ_cache: dict = {}
+        while new:
+            s = new.pop()
+            if s in self.value:
+                continue
+            self.value[s] = self.cap
+            succ_cache[s] = list(self._successors(s))
+            for children, _ in succ_cache[s]:
+                for c in children:
+                    self.deps.setdefault(c, set()).add(s)
+                    if c not in self.value:
+                        new.append(c)
+        # states found by earlier calls have only children found then, so
+        # their values are final and only the states found here can improve
+        work = list(succ_cache)
+        in_work = set(work)
+        while work:
+            s = work.pop()
+            in_work.discard(s)
+            best = self.value[s]
+            for children, terminals in succ_cache[s]:
+                total = terminals
+                for c in children:
+                    total += self.value.get(c, self.cap)
+                    if total >= best:
+                        break
+                if total < best:
+                    best = total
+            if best < self.value[s]:
+                self.value[s] = best
+                for parent in self.deps.get(s, ()):
+                    if parent not in in_work:
+                        work.append(parent)
+                        in_work.add(parent)
+        return self.value[state]
+
+
+# --------------------------------------------------------------------------
+# Fixpoint over (yield, demand) entries
+
+
+def _merge_demand(a: Stack, b: Stack) -> Stack | None:
+    if len(a) <= len(b):
+        return b if b[: len(a)] == a else None
+    return a if a[: len(b)] == b else None
+
+
+class Fixpoint:
+    """Per-state yields with minimal witnesses, computed to a least fixpoint.
+
+    rules[k] is rule number k of the source grammar.  An entry maps the key
+    (yield, demand) to (cost, seq, refs): cost counts nodes, seq is the rule
+    sequence in preorder, and refs holds per child either its leaf symbol or
+    the (state, key) of the child entry.
+    """
+
+    def __init__(self, rules: Sequence[Rule], start: str, maxlen: int, budget: Budget):
+        self.rules = rules
+        self.by_mother: dict[str, list[int]] = {}
+        for ri, rule in enumerate(rules):
+            self.by_mother.setdefault(rule.mother, []).append(ri)
+        self.maxlen = maxlen
+        self.budget = budget
+        self.stats = SearchStats()
+        self.oracle = _MinYield(rules, self.by_mother, maxlen + 1)
+        self.entries: dict[State, dict[tuple[Word, Stack], tuple]] = {}
+        self.deps: dict[State, set[tuple[State, int]]] = {}
+        self.root: State = (start, ())
+        self._pending: deque[tuple[State, int]] = deque()
+        self._pending_set: set[tuple[State, int]] = set()
+        self._stack_cap = min(budget.max_stack, budget.max_nodes)
+
+    def _discover(self, state: State) -> bool:
+        if state in self.entries:
+            return True
+        sym, stack = state
+        if len(stack) > self._stack_cap:
+            self.stats.mark_exhausted("max_stack")
+            return False
+        if self.oracle.bound(sym, stack) > self.maxlen:
+            return False  # exact exclusion, not a budget event
+        if len(self.entries) >= self.budget.max_states:
+            self.stats.mark_exhausted("max_states")
+            return False
+        self.entries[state] = {}
+        self.stats.states += 1
+        for ri in self.by_mother.get(sym, ()):
+            guard = self.rules[ri].guard
+            if guard is None or (stack and stack[0] == guard):
+                self._enqueue((state, ri))
+        return True
+
+    def _enqueue(self, combo: tuple[State, int]) -> None:
+        if combo not in self._pending_set:
+            self._pending_set.add(combo)
+            self._pending.append(combo)
+
+    def run(self) -> Fixpoint:
+        self._discover(self.root)
+        while self._pending:
+            if self.stats.steps > self.budget.max_steps:
+                self.stats.mark_exhausted("max_steps")
+                break
+            combo = self._pending.popleft()
+            self._pending_set.discard(combo)
+            self._process(combo)
+        return self
+
+    def _process(self, combo: tuple[State, int]) -> None:
+        state, ri = combo
+        stack = state[1]
+        rule = self.rules[ri]
+        base = stack[1:] if rule.guard is not None else stack
+        option_lists = []
+        counted = False  # a rule with only leaf children costs no step
+        demands = False
+        for c in rule.children:
+            if c.op is None:
+                option_lists.append([((c.symbol,) if c.symbol else (), (), 1, (), c.symbol)])
+                continue
+            counted = True
+            prepend = None
+            if c.op == COPY:
+                cstack = base
+            elif c.op == PUSH:
+                cstack = (c.value,) + base
+            elif base:
+                if base[0] != c.value:
+                    return
+                cstack = base[1:]
+            else:
+                cstack, prepend = (), c.value
+            cstate = (c.symbol, cstack)
+            if not self._discover(cstate):
+                return
+            self.deps.setdefault(cstate, set()).add(combo)
+            options = []
+            for key, (cost, seq, _) in sorted(self.entries[cstate].items()):
+                demand = key[1]
+                if prepend is not None:
+                    demand = (prepend,) + demand
+                    if len(demand) > self.budget.max_demand:
+                        self.stats.mark_exhausted("max_demand")
+                        continue
+                demands = demands or bool(demand)
+                options.append((key[0], demand, cost, seq, (cstate, key)))
+            if not options:
+                return
+            option_lists.append(options)
+        store = self.entries[state]
+        stats, max_steps = self.stats, self.budget.max_steps
+        maxlen, max_nodes = self.maxlen, self.budget.max_nodes
+        changed = False
+        for chosen in itertools.product(*option_lists):
+            if counted:
+                stats.steps += 1
+                if stats.steps > max_steps:
+                    stats.mark_exhausted("max_steps")
+                    return
+            word: Word = ()
+            cost = 1
+            for c in chosen:
+                word += c[0]
+                cost += c[2]
+            if len(word) > maxlen or cost > max_nodes:
+                continue
+            demand: Stack | None = ()
+            if demands:
+                for c in chosen:
+                    demand = _merge_demand(demand, c[1])
+                    if demand is None:
+                        break
+                if demand is None:
+                    continue
+            seq = (ri,)
+            for c in chosen:
+                seq += c[3]
+            key = (word, demand)
+            old = store.get(key)
+            if old is None or (cost, seq) < old[:2]:
+                store[key] = (cost, seq, tuple(c[4] for c in chosen))
+                changed = True
+        if changed:
+            for parent_combo in self.deps.get(state, ()):
+                self._enqueue(parent_combo)
+
+    def language(self) -> LanguageResult:
+        words = {w for (w, _) in self.entries.get(self.root, {})}
+        ordered = tuple(sorted(words, key=lambda w: (len(w), w)))
+        return LanguageResult(ordered, self.stats.exhausted, tuple(self.stats.reasons))
+
+    def witness(self, word: Word) -> list[tuple[TreeAddress, tuple[int, int] | None, State | str]] | None:
+        """The minimal witness of word at the root, in preorder, as triples
+        (address, slot, item): slot is (rule number, child position) in the
+        mother's rule, None at the root; item is a state, or a leaf symbol."""
+        store = self.entries.get(self.root, {})
+        keys = [k for k in store if k[0] == word]
+        if not keys:
+            return None
+        out: list = []
+
+        def walk(state: State, key, addr: TreeAddress, slot) -> None:
+            out.append((addr, slot, state))
+            _, seq, refs = self.entries[state][key]
+            for i, ref in enumerate(refs):
+                caddr = addr.child(i + 1)
+                if isinstance(ref, str):
+                    out.append((caddr, (seq[0], i), ref))
+                else:
+                    walk(ref[0], ref[1], caddr, (seq[0], i))
+
+        walk(self.root, min(keys, key=lambda k: store[k][:2] + (k,)), ROOT, None)
+        return out

@@ -18,8 +18,9 @@ limits production schemata to three forms over one global attribute pair
 
 and requires empty lexicon schemata.  For this subclass the module offers a
 reduced form, a sink-mapped root wrapper, a canonical model construction and
-a fixpoint language engine that tracks, per subtree, the string of values the
-subtree demands below the free root node of the model.
+fixpoint membership: the rules compile to those of ``glab.stackengine``, the
+engine shared with indexed grammars, which tracks per subtree the string of
+values it demands below the free root node of the model.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .features import (
     solve,
 )
 from .indexed import _check_symbol, fresh_symbol
+from .stackengine import Child, Fixpoint, Rule, Word, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
 
 Path = tuple[str, ...]
-Word = tuple[str, ...]
 
 
 class Arrow(Enum):
@@ -295,14 +296,7 @@ class SimpleUnificationGrammar:
         return sep.join(word)
 
     def parse_word(self, text: str) -> Word:
-        if text == "":
-            return ()
-        parts = tuple(text) if self.single_char_terminals else tuple(text.split())
-        terminal_set = set(self.terminals)
-        for s in parts:
-            if s not in terminal_set:
-                raise GrammarError(f"{s!r} is not a terminal of this grammar")
-        return parts
+        return terminal_word(text, self.terminals, self.single_char_terminals)
 
 
 def used_values(g: SimpleUnificationGrammar) -> tuple[str, ...]:
@@ -588,10 +582,7 @@ def enumerate_cstructures(
     The structures are valid for g by construction but not necessarily
     consistent; pair with generates_check to decide grammaticality.
     """
-    w = g.parse_word(word) if isinstance(word, str) else tuple(word)
-    for s in w:
-        if s not in set(g.terminals):
-            raise GrammarError(f"{s!r} is not a terminal of this grammar")
+    w = terminal_word(word, g.terminals, g.single_char_terminals)
     stats = stats if stats is not None else SearchStats()
     enum = _SizedCsEnumerator(g, w, budget, stats)
     for size in range(2, _size_ceiling(g, len(w), budget.max_nodes) + 1):
@@ -968,305 +959,26 @@ def canonical_fs(cs: CStructure) -> SolveResult:
 # --------------------------------------------------------------------------
 # Fixpoint language engine for stack-schema grammars
 
-_TRUNC = "\x00..."
-_TAU = 6
 
-Stack = tuple[str, ...]
-_UState = tuple[str, Stack]
-
-
-class _UgiMinYield:
-    """Optimistic minimum yield length from (category, pushed stack).
-
-    Same truncated-stack abstraction and worklist relaxation as the indexed
-    engine; a pop on an empty stack is allowed here because it merely records
-    a demand below the root node of the model.
-    """
-
-    def __init__(self, g: SimpleUnificationGrammar, cap: int):
-        self.g = g
-        self.cap = cap
-        self.value: dict[_UState, int] = {}
-        self.deps: dict[_UState, set[_UState]] = {}
-        self._kinds: list[list[tuple[str, str | None]] | None] = []
-        for p in g.productions:
-            per = [classify_schema(d.schema) for d in p.daughters]
-            if any(c is None for c in per):
-                raise PreconditionError("fixpoint engine requires stack-form schemata")
-            self._kinds.append([(c[0], c[1]) for c in per])  # type: ignore[index]
-
-    def _abstract(self, state: _UState) -> _UState:
-        cat, stack = state
-        if len(stack) > _TAU:
-            return (cat, stack[:_TAU] + (_TRUNC,))
-        return state
-
-    def _successors(self, state: _UState):
-        cat, stack = state
-        truncated = bool(stack) and stack[-1] == _TRUNC
-        core = stack[:-1] if truncated else stack
-        for pi, p in enumerate(self.g.productions):
-            if p.mother != cat:
-                continue
-            children: list[_UState] = []
-            dead = False
-            for d, (kind, value) in zip(p.daughters, self._kinds[pi]):
-                if kind == "copy":
-                    cstack = stack
-                elif kind == "push":
-                    cstack = (value,) + core
-                    if truncated or len(cstack) > _TAU:
-                        cstack = cstack[:_TAU] + (_TRUNC,)
-                else:  # pop
-                    if core:
-                        if core[0] != value:
-                            dead = True
-                            break
-                        cstack = core[1:] + ((_TRUNC,) if truncated else ())
-                    elif truncated:
-                        cstack = (_TRUNC,)
-                    else:
-                        cstack = ()
-                children.append((d.category, cstack))
-            if not dead:
-                yield children, 0
-        for r in self.g.lexicon:
-            if r.mother == cat:
-                yield [], (1 if r.word else 0)
-
-    def bound(self, cat: str, stack: Stack) -> int:
-        state = self._abstract((cat, stack))
-        if state in self.value:
-            return self.value[state]
-        new = [state]
-        seen = {state}
-        succ_cache: dict = {}
-        while new:
-            s = new.pop()
-            if s in self.value:
-                continue
-            self.value[s] = self.cap
-            succ_cache[s] = list(self._successors(s))
-            for children, _ in succ_cache[s]:
-                for c in children:
-                    self.deps.setdefault(c, set()).add(s)
-                    if c not in seen and c not in self.value:
-                        seen.add(c)
-                        new.append(c)
-        work = list(succ_cache)
-        in_work = set(work)
-        while work:
-            s = work.pop()
-            in_work.discard(s)
-            best = self.value[s]
-            if s not in succ_cache:
-                succ_cache[s] = list(self._successors(s))
-            for children, terminals in succ_cache[s]:
-                total = terminals
-                for c in children:
-                    total += self.value.get(c, self.cap)
-                    if total >= best:
-                        break
-                if total < best:
-                    best = total
-            if best < self.value[s]:
-                self.value[s] = best
-                for parent in self.deps.get(s, ()):
-                    if parent not in in_work and parent in self.value:
-                        work.append(parent)
-                        in_work.add(parent)
-        return self.value[state]
+def _stack_rules(g: SimpleUnificationGrammar) -> list[Rule]:
+    """The combined rules as stack-engine rules, numbered as in
+    g.combined_rules: one child per daughter with the copy, push or pop of its
+    schema (classify_schema's kinds are the engine's op names), and one leaf
+    per lexicon rule.  Requires stack-form schemata."""
+    rules = []
+    for p in g.productions:
+        children = []
+        for d in p.daughters:
+            kind, value, _ = classify_schema(d.schema)
+            children.append(Child(d.category, kind, value))
+        rules.append(Rule(p.mother, None, tuple(children)))
+    rules.extend(Rule(r.mother, None, (Child(r.word),)) for r in g.lexicon)
+    return rules
 
 
-@dataclass(frozen=True)
-class _UEntry:
-    cost: int
-    seq: tuple[int, ...]
-    rule: int
-    children: tuple  # ("t", word) | ("s", state, key, schema)
-
-
-def _merge_demand(a: Stack, b: Stack) -> Stack | None:
-    if len(a) <= len(b):
-        return b if b[: len(a)] == a else None
-    return a if a[: len(b)] == b else None
-
-
-class _UgiFixpoint:
-    """Per-state yields with demand strings, computed to a least fixpoint.
-
-    An entry at state (category, pushed) is keyed by (yield, demand): the
-    demand is the string of values that pops reaching below the model's free
-    root node insist on, position by position.  Sibling demands must agree as
-    prefixes of one another since they constrain the same chain; the root
-    accepts any demand because the chain below a free node can always be
-    built.
-    """
-
-    def __init__(self, g: SimpleUnificationGrammar, maxlen: int, budget: Budget):
-        self.g = g
-        self.maxlen = maxlen
-        self.budget = budget
-        self.stats = SearchStats()
-        self.oracle = _UgiMinYield(g, maxlen + 1)
-        self.entries: dict[_UState, dict[tuple[Word, Stack], _UEntry]] = {}
-        self.deps: dict[_UState, set[tuple[_UState, int]]] = {}
-        self.root: _UState = (g.start, ())
-        self._pending: list[tuple[_UState, int]] = []
-        self._pending_set: set[tuple[_UState, int]] = set()
-        self._stack_cap = min(budget.max_stack, budget.max_nodes)
-        self._kinds = self.oracle._kinds
-
-    def _discover(self, state: _UState) -> bool:
-        if state in self.entries:
-            return True
-        cat, stack = state
-        if len(stack) > self._stack_cap:
-            self.stats.mark_exhausted("max_stack")
-            return False
-        if self.oracle.bound(cat, stack) > self.maxlen:
-            return False
-        if len(self.entries) >= self.budget.max_states:
-            self.stats.mark_exhausted("max_states")
-            return False
-        self.entries[state] = {}
-        self.stats.states += 1
-        n_prods = len(self.g.productions)
-        for pi, p in enumerate(self.g.productions):
-            if p.mother == cat:
-                self._enqueue((state, pi))
-        for li, r in enumerate(self.g.lexicon):
-            if r.mother == cat:
-                self._enqueue((state, n_prods + li))
-        return True
-
-    def _enqueue(self, combo: tuple[_UState, int]) -> None:
-        if combo not in self._pending_set:
-            self._pending_set.add(combo)
-            self._pending.append(combo)
-
-    def run(self) -> None:
-        self._discover(self.root)
-        while self._pending:
-            if self.stats.steps > self.budget.max_steps:
-                self.stats.mark_exhausted("max_steps")
-                break
-            combo = self._pending.pop(0)
-            self._pending_set.discard(combo)
-            self._process(combo)
-
-    def _process(self, combo: tuple[_UState, int]) -> None:
-        state, ri = combo
-        cat, stack = state
-        n_prods = len(self.g.productions)
-        store = self.entries[state]
-        changed = False
-        if ri >= n_prods:
-            r = self.g.lexicon[ri - n_prods]
-            w: Word = (r.word,) if r.word else ()
-            if len(w) <= self.maxlen:
-                entry = _UEntry(2, (ri,), ri, (("t", r.word),))
-                key = (w, ())
-                old = store.get(key)
-                if old is None or (entry.cost, entry.seq) < (old.cost, old.seq):
-                    store[key] = entry
-                    changed = True
-        else:
-            p = self.g.productions[ri]
-            option_lists = []
-            for d, (kind, value) in zip(p.daughters, self._kinds[ri]):
-                prepend: str | None = None
-                if kind == "copy":
-                    cstack = stack
-                elif kind == "push":
-                    cstack = (value,) + stack
-                else:
-                    if stack:
-                        if stack[0] != value:
-                            return
-                        cstack = stack[1:]
-                    else:
-                        cstack = ()
-                        prepend = value
-                cstate = (d.category, cstack)
-                if not self._discover(cstate):
-                    return
-                self.deps.setdefault(cstate, set()).add(combo)
-                options = []
-                for (w, dem), e in sorted(self.entries[cstate].items()):
-                    mapped = ((prepend,) + dem) if prepend is not None else dem
-                    if len(mapped) > self.budget.max_demand:
-                        self.stats.mark_exhausted("max_demand")
-                        continue
-                    options.append((w, mapped, e.cost, e.seq, ("s", cstate, (w, dem), d.schema)))
-                if not options:
-                    return
-                option_lists.append(options)
-            for chosen in itertools.product(*option_lists):
-                self.stats.steps += 1
-                if self.stats.steps > self.budget.max_steps:
-                    self.stats.mark_exhausted("max_steps")
-                    return
-                total_len = sum(len(c[0]) for c in chosen)
-                if total_len > self.maxlen:
-                    continue
-                cost = 1 + sum(c[2] for c in chosen)
-                if cost > self.budget.max_nodes:
-                    continue
-                demand: Stack | None = ()
-                for c in chosen:
-                    demand = _merge_demand(demand, c[1])
-                    if demand is None:
-                        break
-                if demand is None:
-                    continue
-                word: Word = sum((c[0] for c in chosen), ())
-                seq = (ri,) + sum((c[3] for c in chosen), ())
-                key = (word, demand)
-                entry = _UEntry(cost, seq, ri, tuple(c[4] for c in chosen))
-                old = store.get(key)
-                if old is None or (cost, seq) < (old.cost, old.seq):
-                    store[key] = entry
-                    changed = True
-        if changed:
-            for parent_combo in self.deps.get(state, ()):
-                self._enqueue(parent_combo)
-
-    def language(self) -> tuple[Word, ...]:
-        words = {w for (w, _) in self.entries.get(self.root, {})}
-        return tuple(sorted(words, key=lambda w: (len(w), w)))
-
-    def witness(self, word: Word) -> CStructure | None:
-        store = self.entries.get(self.root, {})
-        best_key = None
-        best = None
-        for (w, dem), e in sorted(store.items()):
-            if w != word:
-                continue
-            if best is None or (e.cost, e.seq) < (best.cost, best.seq):
-                best, best_key = e, (w, dem)
-        if best_key is None:
-            return None
-        categories: dict[TreeAddress, str] = {}
-        eqsets: dict[TreeAddress, Schema] = {}
-        n_prods = len(self.g.productions)
-
-        def build(state: _UState, key, addr: TreeAddress) -> None:
-            e = self.entries[state][key]
-            categories[addr] = state[0]
-            if e.rule >= n_prods:
-                r = self.g.lexicon[e.rule - n_prods]
-                leaf = addr.child(1)
-                categories[leaf] = r.word
-                eqsets[leaf] = r.schema
-                return
-            for i, tag in enumerate(e.children, start=1):
-                caddr = addr.child(i)
-                eqsets[caddr] = tag[3]
-                build(tag[1], tag[2], caddr)
-
-        build(self.root, best_key, ROOT)
-        return CStructure(domain_of(categories.keys()), categories, eqsets)
+def _slot_schema(g: SimpleUnificationGrammar, slot: tuple[int, int]) -> Schema:
+    rule = g.combined_rules[slot[0]]
+    return rule.daughters[slot[1]].schema if isinstance(rule, UProduction) else rule.schema
 
 
 def ugi_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:
@@ -1275,9 +987,7 @@ def ugi_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget =
     if maxlen < 0:
         raise GrammarError("maxlen must be >= 0")
     _require_ugi(g, "the fixpoint language engine")
-    fp = _UgiFixpoint(g, maxlen, budget)
-    fp.run()
-    return LanguageResult(fp.language(), fp.stats.exhausted, tuple(fp.stats.reasons))
+    return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
 
 
 @dataclass(frozen=True)
@@ -1291,12 +1001,14 @@ class UgiMembership:
 def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> UgiMembership:
     """Fixpoint membership with a minimal consistent witness c-structure."""
     _require_ugi(g, "the fixpoint language engine")
-    word = g.parse_word(w) if isinstance(w, str) else tuple(w)
-    fp = _UgiFixpoint(g, len(word), budget)
-    fp.run()
-    witness = fp.witness(word)
-    if witness is None:
+    word = terminal_word(w, g.terminals, g.single_char_terminals)
+    fp = Fixpoint(_stack_rules(g), g.start, len(word), budget).run()
+    walk = fp.witness(word)
+    if walk is None:
         return UgiMembership(False, None, None, fp.stats.exhausted)
+    categories = {a: item if isinstance(item, str) else item[0] for a, _, item in walk}
+    eqsets = {a: _slot_schema(g, slot) for a, slot, _ in walk if slot is not None}
+    witness = CStructure(domain_of(categories.keys()), categories, eqsets)
     report = validate_cstructure(g, witness)
     if not report.ok:  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness failed validation: {report.errors[0]}")

@@ -5,6 +5,7 @@ d^(2^n)), so expected word sets are computed from the formulas rather than
 from the code under test.
 """
 
+import itertools
 import random
 
 import pytest
@@ -327,6 +328,40 @@ def test_empty_word_grammar():
     m = indexed_membership(g, "")
     assert m.member and terminal_string(m.witness) == ""
     assert len(m.witness.domain) == 2
+
+
+def empty_pop_grammar() -> IndexedGrammar:
+    # pops whose right-hand side holds no nonterminal, A ^f -> _ among them;
+    # S -> A pops an empty stack and derives nothing
+    sym = SymbolTable(("S", "T", "A"), ("a", "b"), ("f", "g"))
+    rules = (
+        Push("S", "T", "f"),
+        Plain("S", ("A",)),
+        Plain("T", ("A", "A")),
+        Push("T", "A", "g"),
+        Pop("A", "f", ()),
+        Pop("A", "f", ("a", "b")),
+        Pop("A", "g", ("a",)),
+    )
+    return IndexedGrammar(sym, rules, "S")
+
+
+def test_empty_rhs_pops_agree_with_tree_enumeration():
+    g = empty_pop_grammar()
+    first_tree = {}
+    for t in enumerate_derivations(g, Budget(max_nodes=12)):
+        first_tree.setdefault(terminal_symbols(t), t)
+    res = indexed_language_upto(g, 4)
+    assert not res.exhausted
+    assert set(res.words) == {w for w in first_tree if len(w) <= 4}
+    assert set(res.words) == {(), ("a",), ("a", "b"), ("a", "b", "a", "b")}
+    for n in range(5):
+        for w in itertools.product("ab", repeat=n):
+            m = indexed_membership(g, w)
+            # enumeration order is (node count, rule sequence), so the first
+            # tree of a yield is its minimal witness
+            assert m.witness == first_tree.get(w), w
+            assert m.member == (w in first_tree) and not m.exhausted
 
 
 def test_state_cap_sets_the_exhausted_flag():

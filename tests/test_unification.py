@@ -414,6 +414,27 @@ def test_empty_word_through_the_fixpoint():
     assert m.member and m.witness.terminal_string == ""
 
 
+def test_fixpoint_membership_rejects_symbols_that_are_not_terminals():
+    g = counter_grammar()
+    for bad in (("zz",), ("S",), ("a", "x")):
+        with pytest.raises(GrammarError):
+            ugi_membership(g, bad)
+        with pytest.raises(GrammarError):
+            sug_membership(g, bad)
+
+
+def test_lexicon_witnesses_respect_the_node_cap():
+    # a lexicon rule alone builds two nodes, more than max_nodes=1 allows
+    g = SimpleUnificationGrammar(
+        ("X",), ("a",), ("next", "idx"), (), (), (LexRule("X", "a", frozenset()),), "X"
+    )
+    tiny = Budget(max_nodes=1)
+    assert ugi_language_upto(g, 1, tiny).words == ()
+    assert not ugi_membership(g, "a", tiny).member
+    assert not sug_membership(g, "a", tiny).member
+    assert ugi_membership(g, "a").member
+
+
 def test_fixpoint_witness_is_minimal_and_consistent():
     g = counter_grammar()
     m = ugi_membership(g, "a")
