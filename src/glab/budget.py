@@ -36,11 +36,20 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass
 class SearchStats:
-    """Mutable counters threaded through a single search."""
+    """Mutable counters threaded through a single search.
+
+    In the stack engine (glab.stackengine) steps counts the child
+    combinations built, and the engine is semi-naive: a rule rerun for a
+    state builds only the combinations that hold a child entry added or
+    improved since its last run, so max_steps bounds those.  improved counts
+    the entries the engine added or improved, so steps / improved is the
+    number of combinations built per useful one.
+    """
 
     trees: int = 0
     steps: int = 0
     states: int = 0
+    improved: int = 0
     exhausted: bool = False
     reasons: list[str] = field(default_factory=list)
 

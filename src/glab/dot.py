@@ -57,13 +57,6 @@ def _cstructure_lines(cs: CStructure, prefix: str) -> list[str]:
     return lines
 
 
-def cstructure_dot(cs: CStructure) -> str:
-    lines = ["digraph cstructure {", "  ordering=out;"]
-    lines.extend(_cstructure_lines(cs, ""))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def _model_lines(m: FeatureStructure, prefix: str) -> list[str]:
     lines = []
     for q in m.nodes:
@@ -81,13 +74,6 @@ def _model_lines(m: FeatureStructure, prefix: str) -> list[str]:
         lines.append(f'  "{prefix}n{a}" [label="{_esc(str(a))}" shape=box];')
         lines.append(f'  "{prefix}n{a}" -> "{prefix}q{q}" [style=dashed];')
     return lines
-
-
-def feature_dot(m: FeatureStructure) -> str:
-    lines = ["digraph model {"]
-    lines.extend(_model_lines(m, ""))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def cstructure_with_model_dot(cs: CStructure, m: FeatureStructure) -> str:

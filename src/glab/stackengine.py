@@ -20,6 +20,13 @@ Only stack-form rules pop a child, so indexed searches carry no demand.
 State discovery is gated by an optimistic minimum-yield bound on truncated
 stacks, which is an exact exclusion; stack-length and state-count caps are
 budget events and set the exhausted flag.
+
+Relaxation is semi-naive (Bancilhon & Ramakrishnan 1986): when a rule is
+rerun for a state because some child state gained or improved entries, it
+joins only the combinations of child entries that hold at least one such
+fresh entry.  SearchStats.steps, and so Budget.max_steps, counts those
+combinations only; SearchStats.improved counts the entries added or
+improved.
 """
 
 from __future__ import annotations
@@ -188,9 +195,17 @@ class Fixpoint:
     """Per-state yields with minimal witnesses, computed to a least fixpoint.
 
     rules[k] is rule number k of the source grammar.  An entry maps the key
-    (yield, demand) to (cost, seq, refs): cost counts nodes, seq is the rule
-    sequence in preorder, and refs holds per child either its leaf symbol or
-    the (state, key) of the child entry.
+    (yield, demand) to (cost, seq, refs, stamp): cost counts nodes, seq is
+    the rule sequence in preorder, refs holds per child either its leaf
+    symbol or the (state, key) of the child entry, and stamp is the change
+    clock, stats.improved, when the entry was added or last improved.
+
+    Relaxation is semi-naive.  A job (state, rule number) runs when the
+    state is found and again whenever a child state's entries change; each
+    run joins only the combinations that hold a child entry stamped after
+    the clock at the start of the job's last complete run.  Every other
+    combination was built with the same values then, and the store keeps the
+    least (cost, seq), so skipping it changes nothing but the step count.
     """
 
     def __init__(self, rules: Sequence[Rule], start: str, maxlen: int, budget: Budget):
@@ -203,7 +218,11 @@ class Fixpoint:
         self.stats = SearchStats()
         self.oracle = _MinYield(rules, self.by_mother, maxlen + 1)
         self.entries: dict[State, dict[tuple[Word, Stack], tuple]] = {}
-        self.deps: dict[State, set[tuple[State, int]]] = {}
+        # jobs (state, rule number) to rerun when a state's entries change,
+        # in the order they first read it
+        self.deps: dict[State, dict[tuple[State, int], None]] = {}
+        # per job, the change clock when its last complete run began
+        self._ran: dict[tuple[State, int], int] = {}
         self.root: State = (start, ())
         self._pending: deque[tuple[State, int]] = deque()
         self._pending_set: set[tuple[State, int]] = set()
@@ -250,12 +269,18 @@ class Fixpoint:
         stack = state[1]
         rule = self.rules[ri]
         base = stack[1:] if rule.guard is not None else stack
-        option_lists = []
+        since = self._ran.get(combo, 0)
+        clock = self.stats.improved
+        # per child position, the options this job has joined before and the
+        # fresh ones, stamped after its last complete run; a leaf is never fresh
+        seen: list[list] = []
+        fresh: list[list] = []
         counted = False  # a rule with only leaf children costs no step
         demands = False
         for c in rule.children:
             if c.op is None:
-                option_lists.append([((c.symbol,) if c.symbol else (), (), 1, (), c.symbol)])
+                seen.append([((c.symbol,) if c.symbol else (), (), 1, (), c.symbol)])
+                fresh.append([])
                 continue
             counted = True
             prepend = None
@@ -272,9 +297,10 @@ class Fixpoint:
             cstate = (c.symbol, cstack)
             if not self._discover(cstate):
                 return
-            self.deps.setdefault(cstate, set()).add(combo)
-            options = []
-            for key, (cost, seq, _) in sorted(self.entries[cstate].items()):
+            self.deps.setdefault(cstate, {})[combo] = None
+            opts_seen: list = []
+            opts_fresh: list = []
+            for key, (cost, seq, _, stamp) in self.entries[cstate].items():
                 demand = key[1]
                 if prepend is not None:
                     demand = (prepend,) + demand
@@ -282,15 +308,20 @@ class Fixpoint:
                         self.stats.mark_exhausted("max_demand")
                         continue
                 demands = demands or bool(demand)
-                options.append((key[0], demand, cost, seq, (cstate, key)))
-            if not options:
+                (opts_fresh if stamp > since else opts_seen).append((key[0], demand, cost, seq, (cstate, key)))
+            if not opts_seen and not opts_fresh:
                 return
-            option_lists.append(options)
+            seen.append(opts_seen)
+            fresh.append(opts_fresh)
+        # every combination holding a fresh entry, once: by its first fresh
+        # position i, joined with seen options before i and all options after
+        every = [o + n for o, n in zip(seen, fresh)]
+        joins = [seen[:i] + [n] + every[i + 1 :] for i, n in enumerate(fresh) if n] if counted else [seen]
         store = self.entries[state]
         stats, max_steps = self.stats, self.budget.max_steps
         maxlen, max_nodes = self.maxlen, self.budget.max_nodes
         changed = False
-        for chosen in itertools.product(*option_lists):
+        for chosen in itertools.chain.from_iterable(itertools.product(*j) for j in joins):
             if counted:
                 stats.steps += 1
                 if stats.steps > max_steps:
@@ -317,8 +348,10 @@ class Fixpoint:
             key = (word, demand)
             old = store.get(key)
             if old is None or (cost, seq) < old[:2]:
-                store[key] = (cost, seq, tuple(c[4] for c in chosen))
+                stats.improved += 1
+                store[key] = (cost, seq, tuple(c[4] for c in chosen), stats.improved)
                 changed = True
+        self._ran[combo] = clock
         if changed:
             for parent_combo in self.deps.get(state, ()):
                 self._enqueue(parent_combo)
@@ -340,7 +373,7 @@ class Fixpoint:
 
         def walk(state: State, key, addr: TreeAddress, slot) -> None:
             out.append((addr, slot, state))
-            _, seq, refs = self.entries[state][key]
+            _, seq, refs, _ = self.entries[state][key]
             for i, ref in enumerate(refs):
                 caddr = addr.child(i + 1)
                 if isinstance(ref, str):

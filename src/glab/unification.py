@@ -288,6 +288,12 @@ class SimpleUnificationGrammar:
         return self.productions + self.lexicon
 
     @cached_property
+    def _stack_form(self) -> tuple[UgiReport, tuple[Rule, ...] | None]:
+        """ugi_check's report and the stack-engine rules, from one pass over
+        the schemata per grammar (see _classify)."""
+        return _classify(self)
+
+    @cached_property
     def single_char_terminals(self) -> bool:
         return all(len(t) == 1 for t in self.terminals)
 
@@ -641,11 +647,21 @@ class UgiReport:
 
 
 def ugi_check(g: SimpleUnificationGrammar) -> UgiReport:
+    return g._stack_form[0]
+
+
+def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] | None]:
+    """ugi_check's report, and for a stack-form grammar its combined rules as
+    stack-engine rules: one child per daughter with the copy, push or pop of
+    its schema (classify_schema's kinds are the engine's op names), and one
+    leaf per lexicon rule."""
     offenders: list[tuple[str, int, str]] = []
     pair: tuple[str, str] | None = None
     kinds: dict[int, list[tuple[str, str | None]]] = {}
+    rules = []
     for k, p in enumerate(g.productions):
         per_daughter: list[tuple[str, str | None]] = []
+        children = []
         for d in p.daughters:
             c = classify_schema(d.schema)
             if c is None:
@@ -658,7 +674,10 @@ def ugi_check(g: SimpleUnificationGrammar) -> UgiReport:
                 elif pair != dpair:
                     offenders.append(("production", k, f"attribute pair {dpair} differs from {pair}"))
             per_daughter.append((kind, value))
+            children.append(Child(d.category, kind, value))
         kinds[k] = per_daughter
+        rules.append(Rule(p.mother, None, tuple(children)))
+    rules.extend(Rule(r.mother, None, (Child(r.word),)) for r in g.lexicon)
     for k, r in enumerate(g.lexicon):
         if r.schema:
             offenders.append(("lexicon", k, "lexicon schemata must be empty"))
@@ -699,7 +718,7 @@ def ugi_check(g: SimpleUnificationGrammar) -> UgiReport:
                             elsewhere = True
                 has_sink = not elsewhere
 
-    return UgiReport(is_ugi, is_reduced, has_sink, tuple(offenders), pair)
+    return UgiReport(is_ugi, is_reduced, has_sink, tuple(offenders), pair), tuple(rules) if is_ugi else None
 
 
 def _require_ugi(g: SimpleUnificationGrammar, what: str) -> UgiReport:
@@ -960,20 +979,10 @@ def canonical_fs(cs: CStructure) -> SolveResult:
 # Fixpoint language engine for stack-schema grammars
 
 
-def _stack_rules(g: SimpleUnificationGrammar) -> list[Rule]:
-    """The combined rules as stack-engine rules, numbered as in
-    g.combined_rules: one child per daughter with the copy, push or pop of its
-    schema (classify_schema's kinds are the engine's op names), and one leaf
-    per lexicon rule.  Requires stack-form schemata."""
-    rules = []
-    for p in g.productions:
-        children = []
-        for d in p.daughters:
-            kind, value, _ = classify_schema(d.schema)
-            children.append(Child(d.category, kind, value))
-        rules.append(Rule(p.mother, None, tuple(children)))
-    rules.extend(Rule(r.mother, None, (Child(r.word),)) for r in g.lexicon)
-    return rules
+def _stack_rules(g: SimpleUnificationGrammar) -> tuple[Rule, ...]:
+    """The stack-engine rules of g, numbered as in g.combined_rules."""
+    _require_ugi(g, "the fixpoint language engine")
+    return g._stack_form[1]
 
 
 def _slot_schema(g: SimpleUnificationGrammar, slot: tuple[int, int]) -> Schema:
@@ -986,7 +995,6 @@ def ugi_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget =
     budget, via the demand-string fixpoint.  Requires stack-form schemata."""
     if maxlen < 0:
         raise GrammarError("maxlen must be >= 0")
-    _require_ugi(g, "the fixpoint language engine")
     return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
 
 
@@ -1000,9 +1008,9 @@ class UgiMembership:
 
 def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> UgiMembership:
     """Fixpoint membership with a minimal consistent witness c-structure."""
-    _require_ugi(g, "the fixpoint language engine")
+    rules = _stack_rules(g)
     word = terminal_word(w, g.terminals, g.single_char_terminals)
-    fp = Fixpoint(_stack_rules(g), g.start, len(word), budget).run()
+    fp = Fixpoint(rules, g.start, len(word), budget).run()
     walk = fp.witness(word)
     if walk is None:
         return UgiMembership(False, None, None, fp.stats.exhausted)
