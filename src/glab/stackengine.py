@@ -32,6 +32,7 @@ improved.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from typing import Collection, NamedTuple, Sequence
 
@@ -315,13 +316,13 @@ class Fixpoint:
             fresh.append(opts_fresh)
         # every combination holding a fresh entry, once: by its first fresh
         # position i, joined with seen options before i and all options after
-        every = [o + n for o, n in zip(seen, fresh)]
+        every = list(map(operator.add, seen, fresh))
         joins = [seen[:i] + [n] + every[i + 1 :] for i, n in enumerate(fresh) if n] if counted else [seen]
         store = self.entries[state]
         stats, max_steps = self.stats, self.budget.max_steps
         maxlen, max_nodes = self.maxlen, self.budget.max_nodes
         changed = False
-        for chosen in itertools.chain.from_iterable(itertools.product(*j) for j in joins):
+        for chosen in itertools.chain.from_iterable(itertools.starmap(itertools.product, joins)):
             if counted:
                 stats.steps += 1
                 if stats.steps > max_steps:

@@ -657,10 +657,8 @@ def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] 
     leaf per lexicon rule."""
     offenders: list[tuple[str, int, str]] = []
     pair: tuple[str, str] | None = None
-    kinds: dict[int, list[tuple[str, str | None]]] = {}
     rules = []
     for k, p in enumerate(g.productions):
-        per_daughter: list[tuple[str, str | None]] = []
         children = []
         for d in p.daughters:
             c = classify_schema(d.schema)
@@ -673,9 +671,7 @@ def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] 
                     pair = dpair
                 elif pair != dpair:
                     offenders.append(("production", k, f"attribute pair {dpair} differs from {pair}"))
-            per_daughter.append((kind, value))
             children.append(Child(d.category, kind, value))
-        kinds[k] = per_daughter
         rules.append(Rule(p.mother, None, tuple(children)))
     rules.extend(Rule(r.mother, None, (Child(r.word),)) for r in g.lexicon)
     for k, r in enumerate(g.lexicon):
@@ -687,7 +683,7 @@ def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] 
     if is_ugi:
         reduced_offenders: list[tuple[str, int, str]] = []
         for k, p in enumerate(g.productions):
-            shapes = [kind for kind, _ in kinds[k]]
+            shapes = [c.op for c in rules[k].children]
             if len(shapes) == 1 and shapes[0] in ("push", "pop"):
                 continue
             if len(shapes) == 2 and shapes == ["copy", "copy"]:
@@ -706,15 +702,15 @@ def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] 
         if len(mentions) == 1:
             k = mentions[0]
             p = g.productions[k]
-            per = kinds[k]
-            if p.mother == g.start and len(p.daughters) == 1 and per and per[0][0] == "push":
-                marker = per[0][1]
+            per = rules[k].children
+            if p.mother == g.start and len(p.daughters) == 1 and per and per[0].op == "push":
+                marker = per[0].value
                 elsewhere = False
                 for k2, p2 in enumerate(g.productions):
                     if k2 == k:
                         continue
-                    for kind, value in kinds[k2]:
-                        if value == marker:
+                    for c in rules[k2].children:
+                        if c.value == marker:
                             elsewhere = True
                 has_sink = not elsewhere
 
