@@ -9,7 +9,6 @@ languages and minimal witnesses are checked against whole-tree enumeration
 (indexed) and the c-structure sweep (stack form).
 """
 
-import itertools
 import os
 import subprocess
 import sys
@@ -127,8 +126,8 @@ def test_demands_below_the_root_agree_with_the_reference_sweep():
 
 
 # A search cut short by max_steps: rules U0 -> U0 U0, two pops below the
-# root and U0 -> a, the one grammar of the fuzz-equiv pool whose witnesses
-# changed with the hash seed.
+# root and U0 -> a, a grammar of the benchmark's fuzz pool whose root entries
+# changed with the hash seed when jobs were queued in set order.
 _CAPPED_SEARCH = """
 from glab import Budget
 from glab.stackengine import COPY, POP, Child, Fixpoint, Rule
