@@ -12,8 +12,14 @@ exhausted and the callers surface that flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import GrammarError
+
+if TYPE_CHECKING:
+    from .features import FeatureStructure
+    from .indexed import DerivationTree
+    from .unification import CStructure
 
 
 @dataclass(frozen=True)
@@ -71,3 +77,15 @@ class LanguageResult:
     words: tuple[tuple[str, ...], ...]
     exhausted: bool
     reasons: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class MembershipResult:
+    """Every decider's answer: when member is True a minimal witness tree (a
+    DerivationTree, or a CStructure with its least model), and whether a cap
+    cut the search short, so that a "no" may mean "not within budget"."""
+
+    member: bool
+    witness: DerivationTree | CStructure | None
+    exhausted: bool
+    model: FeatureStructure | None = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .budget import Budget, LanguageResult
+from .budget import Budget, LanguageResult, MembershipResult
 from .dot import cstructure_with_model_dot, derivation_dot
 from .errors import GlabError
 from .formats import (
@@ -155,33 +155,25 @@ def _cs_text(cs: CStructure) -> str:
     return "\n".join(lines)
 
 
-def _membership(g: Grammar, word: tuple[str, ...], budget: Budget):
-    """(member, witness text, exhausted, extras) for either grammar kind."""
+def _membership(g: Grammar, word: tuple[str, ...], budget: Budget) -> MembershipResult:
     if isinstance(g, IndexedGrammar):
-        r = indexed_membership(g, word, budget)
-        text = _tree_text(r.witness) if r.witness is not None else None
-        return r.member, text, r.exhausted, r.witness, None
+        return indexed_membership(g, word, budget)
     if ugi_check(g).is_ugi:
-        ru = ugi_membership(g, word, budget)
-        text = _cs_text(ru.witness) if ru.witness is not None else None
-        return ru.member, text, ru.exhausted, ru.witness, ru.model
-    rs = sug_membership(g, word, budget)
-    text = _cs_text(rs.witness) if rs.witness is not None else None
-    return rs.member, text, rs.exhausted, rs.witness, rs.model
+        return ugi_membership(g, word, budget)
+    return sug_membership(g, word, budget)
 
 
 def cmd_member(args: argparse.Namespace) -> int:
     g = _load(args.path)
     word = g.parse_word(args.word) if args.word != "_" else ()
-    member, text, exhausted, _, model = _membership(g, word, _budget(args))
-    print(f"member: {_yesno(member)}")
-    if member:
-        assert text is not None
-        print(text)
-        if model is not None:
-            print(f"model: {len(model.nodes)} nodes")
+    r = _membership(g, word, _budget(args))
+    print(f"member: {_yesno(r.member)}")
+    if r.member:
+        print(_tree_text(r.witness) if isinstance(g, IndexedGrammar) else _cs_text(r.witness))
+        if r.model is not None:
+            print(f"model: {len(r.model.nodes)} nodes")
         return 0
-    if exhausted:
+    if r.exhausted:
         print("budget-exhausted: yes")
     return 2
 
@@ -319,17 +311,13 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 def cmd_derive(args: argparse.Namespace) -> int:
     g = _load(args.path)
     word = g.parse_word(args.word) if args.word != "_" else ()
-    member, _, exhausted, witness, model = _membership(g, word, _budget(args))
-    if not member:
+    r = _membership(g, word, _budget(args))
+    if not r.member:
         print("member: no")
-        if exhausted:
+        if r.exhausted:
             print("budget-exhausted: yes")
         return 2
-    if isinstance(g, IndexedGrammar):
-        dot = derivation_dot(g, witness)
-    else:
-        assert model is not None
-        dot = cstructure_with_model_dot(witness, model)
+    dot = derivation_dot(r.witness) if isinstance(g, IndexedGrammar) else cstructure_with_model_dot(r.witness, r.model)
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
         print("member: yes")

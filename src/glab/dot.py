@@ -7,7 +7,7 @@ Output is deterministic: nodes and edges are emitted in tree-address order
 from __future__ import annotations
 
 from .features import FeatureStructure
-from .indexed import DerivationTree, IndexedGrammar
+from .indexed import DerivationTree
 from .unification import CStructure, format_schema
 
 
@@ -20,7 +20,7 @@ def _stack_text(stack: tuple[str, ...]) -> str:
     return sep.join(stack)
 
 
-def _tree_lines(g: IndexedGrammar, t: DerivationTree, prefix: str) -> list[str]:
+def _tree_lines(t: DerivationTree, prefix: str) -> list[str]:
     lines = []
     for a in t.domain.sorted_addresses:
         if t.domain.out_degree(a) > 0 or a.is_root:
@@ -37,9 +37,9 @@ def _tree_lines(g: IndexedGrammar, t: DerivationTree, prefix: str) -> list[str]:
     return lines
 
 
-def derivation_dot(g: IndexedGrammar, t: DerivationTree) -> str:
+def derivation_dot(t: DerivationTree) -> str:
     lines = ["digraph derivation {", "  ordering=out;"]
-    lines.extend(_tree_lines(g, t, ""))
+    lines.extend(_tree_lines(t, ""))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,8 +9,9 @@ nodes have no outgoing edges) and acyclic.
 Equations come in exactly two shapes: a path equation equating the nodes
 reached from two named nodes, and a value equation fixing the atomic value at
 the end of a non-empty path.  ``solve`` decides whether a set of equations
-has any well-defined model by building the least one with congruence closure
-and inspecting it; rejection is sound because the least model maps
+has any well-defined model by building the least one with congruence closure,
+checking it for value clashes and handing the atomic and acyclic checks to
+``well_defined_check``; rejection is sound because the least model maps
 homomorphically into every model.
 """
 
@@ -125,8 +126,6 @@ def well_defined_check(m: FeatureStructure) -> WellDefinedReport:
     cycle: tuple[Node, Path] | None = None
     state: dict[Node, int] = {}  # 1 = on current path, 2 = done
     for start in m.nodes:
-        if cycle is not None:
-            break
         if state.get(start):
             continue
         # iterative DFS keeping the attribute path to each frame
@@ -353,10 +352,12 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
 
     One node per congruence class of the path-prefix terms occurring in the
     equations plus the whole name domain; classes merge under path equations
-    and functional closure of the transition map.  The class graph is then
-    checked for value clashes, valued nodes with out-edges, and cycles, in
-    that order, each with a deterministic witness.  Node identities in the
-    returned model number the classes by first occurrence.
+    and functional closure of the transition map.  Node identities in the
+    model number the classes by first occurrence.  Value clashes are checked
+    on the classes; the model is then judged by well_defined_check, whose
+    first valued node with an out-edge or first cycle is reported as the
+    first term of its class.  Every class holds a prefix of a named term, so
+    the model is describable by construction.
     """
     domain = sorted(set(name_domain))
     domain_set = set(domain)
@@ -389,54 +390,23 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
         vs = sorted(cl.values[r])
         if len(vs) > 1:
             return Inconsistent(ValueClash(cl.terms[r], vs[0], vs[1]))
-    for r in roots:
-        if cl.values[r] and cl.succ[r]:
-            return Inconsistent(AtomicityViolation(cl.terms[r]))
-
-    # cycle check over the class graph, deterministic order
-    edges: dict[int, list[tuple[str, int]]] = {
-        r: sorted((a, cl.find(t)) for a, t in cl.succ[r].items()) for r in roots
-    }
-    state: dict[int, int] = {}
-    for start in roots:
-        if state.get(start):
-            continue
-        stack = [(start, list(edges[start]))]
-        state[start] = 1
-        trail: list[tuple[int, str]] = []
-        while stack:
-            q, out = stack[-1]
-            if not out:
-                stack.pop()
-                state[q] = 2
-                if trail:
-                    trail.pop()
-                continue
-            a, r = out.pop(0)
-            if state.get(r) == 1:
-                attrs = []
-                seen = False
-                for node, attr in trail + [(q, a)]:
-                    if node == r:
-                        seen = True
-                    if seen:
-                        attrs.append(attr)
-                return Inconsistent(CycleDetected(cl.terms[r], tuple(attrs)))
-            if state.get(r) != 2:
-                state[r] = 1
-                trail.append((q, a))
-                stack.append((r, list(edges[r])))
 
     number = {r: k for k, r in enumerate(roots)}
-    nodes = tuple(range(len(roots)))
     delta = {
-        number[r]: {a: number[t] for a, t in edges[r]}
+        number[r]: {a: number[cl.find(t)] for a, t in sorted(cl.succ[r].items())}
         for r in roots
-        if edges[r]
+        if cl.succ[r]
     }
     alpha = {number[r]: next(iter(cl.values[r])) for r in roots if cl.values[r]}
     names = {n: number[cl.find(cl.index[(n, ())])] for n in domain}
-    return Consistent(FeatureStructure(nodes, delta, alpha, names))
+    model = FeatureStructure(tuple(range(len(roots))), delta, alpha, names)
+    report = well_defined_check(model)
+    if report.atom_with_edge is not None:
+        return Inconsistent(AtomicityViolation(cl.terms[roots[report.atom_with_edge]]))
+    if report.cycle is not None:
+        node, path = report.cycle
+        return Inconsistent(CycleDetected(cl.terms[roots[node]], path))
+    return Consistent(model)
 
 
 # --------------------------------------------------------------------------

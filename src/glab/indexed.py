@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Union
 
-from .budget import Budget, DEFAULT_BUDGET, LanguageResult, SearchStats
+from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, SearchStats
 from .errors import GrammarError
 from .stackengine import COPY, PUSH, Child, Fixpoint, Rule, Stack, Word, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
@@ -558,13 +558,6 @@ def indexed_language_upto(g: IndexedGrammar, maxlen: int, budget: Budget = DEFAU
     if maxlen < 0:
         raise GrammarError("maxlen must be >= 0")
     return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
-
-
-@dataclass(frozen=True)
-class MembershipResult:
-    member: bool
-    witness: DerivationTree | None
-    exhausted: bool
 
 
 def indexed_membership(g: IndexedGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:

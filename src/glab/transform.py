@@ -42,7 +42,7 @@ from .unification import (
     LexRule,
     SimpleUnificationGrammar,
     UProduction,
-    classify_schema,
+    _stack_rules,
     collect_equations,
     copy_schema,
     pop_schema,
@@ -169,15 +169,15 @@ def reverse_u(g: SimpleUnificationGrammar) -> tuple[IndexedGrammar, RuleCorrespo
 
     prods: list = []
     images: list[RuleRef] = []
-    for j, p in enumerate(g.productions):
-        first_d = p.daughters[0]
-        kind, value, _ = classify_schema(first_d.schema)  # type: ignore[misc]
-        if len(p.daughters) == 1 and kind == "push":
-            prods.append(Push(p.mother, first_d.category, value))
-        elif len(p.daughters) == 1 and kind == "pop":
-            prods.append(Pop(p.mother, value, (first_d.category,)))
+    # in reduced form push and pop daughters occur only in unary rules
+    for j, rule in enumerate(_stack_rules(g)[: len(g.productions)]):
+        first = rule.children[0]
+        if first.op == "push":
+            prods.append(Push(rule.mother, first.symbol, first.value))
+        elif first.op == "pop":
+            prods.append(Pop(rule.mother, first.value, (first.symbol,)))
         else:
-            prods.append(Plain(p.mother, tuple(d.category for d in p.daughters)))
+            prods.append(Plain(rule.mother, tuple(c.symbol for c in rule.children)))
         images.append(("production", j))
     for j, r in enumerate(g.lexicon):
         prods.append(Plain(r.mother, (r.word,) if r.word else ()))

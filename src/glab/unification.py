@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterator, Mapping, Union
 
-from .budget import Budget, DEFAULT_BUDGET, LanguageResult, SearchStats
+from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, SearchStats
 from .errors import GrammarError, PreconditionError
 from .features import (
     Consistent,
@@ -602,15 +602,11 @@ def enumerate_cstructures(
             return
 
 
-@dataclass(frozen=True)
-class SugMembership:
-    member: bool
-    witness: CStructure | None
-    model: FeatureStructure | None
-    exhausted: bool
+# earlier names of the one membership answer, kept so that importers still work
+UgiMembership = SugMembership = MembershipResult
 
 
-def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> SugMembership:
+def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Search the c-structure stream for one that generates a model.
 
     This is the reference semantics: it tries every c-structure within budget
@@ -621,8 +617,8 @@ def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     for cs in enumerate_cstructures(g, w, budget, stats):
         result = generates_check(cs)
         if isinstance(result, Consistent):
-            return SugMembership(True, cs, result.model, stats.exhausted)
-    return SugMembership(False, None, None, stats.exhausted)
+            return MembershipResult(True, cs, stats.exhausted, result.model)
+    return MembershipResult(False, None, stats.exhausted)
 
 
 # --------------------------------------------------------------------------
@@ -740,13 +736,13 @@ def ugi_normalize(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
     taken = set(g.nonterminals) | set(g.terminals)
     fresh_nts: list[str] = []
     counter = itertools.count(1)
+    copy = copy_schema()
 
     def fresh() -> str:
-        while True:
-            name = fresh_symbol(f"X{next(counter)}", taken)
-            taken.add(name)
-            fresh_nts.append(name)
-            return name
+        name = fresh_symbol(f"X{next(counter)}", taken)
+        taken.add(name)
+        fresh_nts.append(name)
+        return name
 
     # (i) detach push/pop daughters from wide rules
     stage1: list[UProduction] = []
@@ -757,13 +753,12 @@ def ugi_normalize(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
             continue
         new_daughters = []
         for d in p.daughters:
-            kind, _, _ = classify_schema(d.schema)
-            if kind == "copy":
+            if d.schema == copy:
                 new_daughters.append(d)
             else:
                 x = fresh()
                 detached.append(UProduction(x, (Daughter(d.category, d.schema),)))
-                new_daughters.append(Daughter(x, copy_schema()))
+                new_daughters.append(Daughter(x, copy))
         stage1.append(UProduction(p.mother, tuple(new_daughters)))
     stage1.extend(detached)
 
@@ -777,14 +772,14 @@ def ugi_normalize(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
         rest = list(p.daughters)
         while len(rest) > 2:
             x = fresh()
-            stage2.append(UProduction(mother, (rest[0], Daughter(x, copy_schema()))))
+            stage2.append(UProduction(mother, (rest[0], Daughter(x, copy))))
             mother = x
             rest = rest[1:]
         stage2.append(UProduction(mother, tuple(rest)))
 
     # (iii) eliminate unary copy rules through unit-pair composition
     def is_unit(p: UProduction) -> bool:
-        return len(p.daughters) == 1 and classify_schema(p.daughters[0].schema)[0] == "copy"
+        return len(p.daughters) == 1 and p.daughters[0].schema == copy
 
     unit_next: dict[str, list[str]] = {}
     for p in stage2:
@@ -849,13 +844,14 @@ def sink_map_root(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
     """
     report = _require_ugi(g, "root wrapping")
     pair = report.attr_pair or ("next", "idx")
-    taken = set(g.nonterminals) | set(g.terminals)
+    taken = set(g.nonterminals) | set(g.terminals) | set(g.values)
     s0 = fresh_symbol(g.start + "_0", taken)
     taken.add(s0)
     spine = fresh_symbol(g.start + "_p", taken)
     taken.add(spine)
     filler = fresh_symbol(g.start + "_e", taken)
-    marker = fresh_symbol("$", set(g.values))
+    taken.add(filler)
+    marker = fresh_symbol("$", taken)
     next_attr, idx_attr = pair
 
     new_rules = [
@@ -994,22 +990,14 @@ def ugi_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget =
     return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
 
 
-@dataclass(frozen=True)
-class UgiMembership:
-    member: bool
-    witness: CStructure | None
-    model: FeatureStructure | None
-    exhausted: bool
-
-
-def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> UgiMembership:
+def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Fixpoint membership with a minimal consistent witness c-structure."""
     rules = _stack_rules(g)
     word = terminal_word(w, g.terminals, g.single_char_terminals)
     fp = Fixpoint(rules, g.start, len(word), budget).run()
     walk = fp.witness(word)
     if walk is None:
-        return UgiMembership(False, None, None, fp.stats.exhausted)
+        return MembershipResult(False, None, fp.stats.exhausted)
     categories = {a: item if isinstance(item, str) else item[0] for a, _, item in walk}
     eqsets = {a: _slot_schema(g, slot) for a, slot, _ in walk if slot is not None}
     witness = CStructure(domain_of(categories.keys()), categories, eqsets)
@@ -1019,7 +1007,7 @@ def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     result = generates_check(witness)
     if not isinstance(result, Consistent):  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness is inconsistent: {result.diagnosis}")
-    return UgiMembership(True, witness, result.model, fp.stats.exhausted)
+    return MembershipResult(True, witness, fp.stats.exhausted, result.model)
 
 
 def sug_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:

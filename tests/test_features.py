@@ -188,6 +188,29 @@ def test_solve_reports_cycles():
     assert res.diagnosis.term == (N1, ())
     assert res.diagnosis.path == ("p",)
 
+    # each witness names the first term of its class, whichever name reaches it
+    cases = [
+        # a two-edge cycle reached only from the second name
+        ([PathEq(N2, ("a", "b", "c"), N2, ("a",))], CycleDetected((N2, ("a",)), ("b", "c"))),
+        # entered from N1.q, but the class's first term is 2.a.b
+        (
+            [
+                ValEq(N1, ("p",), "u"),
+                PathEq(N2, ("a", "b", "c"), N2, ("a",)),
+                PathEq(N2, ("a", "b"), N1, ("q",)),
+            ],
+            CycleDetected((N2, ("a", "b")), ("c", "b")),
+        ),
+        # a valued node with an out-edge on a class after the first
+        (
+            [PathEq(N1, ("p",), N2, ("q",)), ValEq(N2, ("r",), "u"), PathEq(N2, ("r", "s"), N1, ("p",))],
+            AtomicityViolation((N2, ("r",))),
+        ),
+    ]
+    for eqs, diagnosis in cases:
+        res = solve(eqs, [N1, N2])
+        assert not res.consistent and res.diagnosis == diagnosis
+
 
 def test_solve_functional_closure_propagates():
     # merging n1 and n2 forces their p-successors together, clashing u vs v

@@ -187,6 +187,23 @@ def test_reverse_then_forward_is_the_identity_on_fuzzed_grammars():
         assert corr2.images == corr.images
 
 
+@pytest.mark.parametrize("terminal, value", [("$", "f"), ("a", "S_0")])
+def test_sink_map_root_output_reverses_whatever_the_vocabulary(terminal, value):
+    # the fresh start, spine, filler and marker must avoid every declared
+    # nonterminal, terminal and value, or reverse_u sees a name clash
+    g = SimpleUnificationGrammar(
+        ("S", "A"),
+        (terminal,),
+        ("next", "idx"),
+        (value,),
+        (UProduction("S", (Daughter("A", push_schema("next", "idx", value)),)),),
+        (LexRule("A", terminal, frozenset()),),
+        "S",
+    )
+    gi, _ = reverse_u(sink_map_root(g))
+    assert indexed_language_upto(gi, 2).words == ((terminal,),)
+
+
 def test_end_marker():
     assert end_marker(doubling_grammar()) == "$"
     assert end_marker(mark_index_end(lockstep_grammar())) == "$"
