@@ -35,7 +35,7 @@ from typing import Iterator, Mapping, Union
 
 from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, SearchStats
 from .errors import GrammarError
-from .stackengine import COPY, PUSH, Child, Fixpoint, Rule, Stack, Word, terminal_word
+from .stackengine import COPY, PUSH, Child, Fixpoint, Rule, Stack, Word, end_marker, reduced, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
 
 
@@ -157,6 +157,22 @@ class IndexedGrammar:
         """Split surface text into terminal symbols and validate them."""
         return terminal_word(text, self.symbols.terminal_set, self.single_char_terminals)
 
+    @cached_property
+    def stack_rules(self) -> tuple[Rule, ...]:
+        """The productions as stack-engine rules, numbered as here: a push
+        pushes onto its one child, a pop is a guard over copying children,
+        and a plain rule copies.  Terminals become leaves, an empty
+        right-hand side one empty-string leaf."""
+        nts = self.symbols.nonterminal_set
+        rules = []
+        for p in self.productions:
+            if isinstance(p, Push):
+                rules.append(Rule(p.lhs, None, (Child(p.rhs, PUSH, p.index),)))
+                continue
+            children = tuple(Child(s, COPY) if s in nts else Child(s) for s in p.rhs) or (Child(""),)
+            rules.append(Rule(p.lhs, p.index if isinstance(p, Pop) else None, children))
+        return tuple(rules)
+
 
 # --------------------------------------------------------------------------
 # Derivation trees
@@ -247,49 +263,17 @@ class ReducedFormReport:
     offenders: tuple[int, ...]  # production indices
 
 
-def _production_reduced(g: IndexedGrammar, p: IndexedProduction) -> bool:
-    nts = g.symbols.nonterminal_set
-    if isinstance(p, Push):
-        return True
-    if isinstance(p, Pop):
-        return len(p.rhs) == 1 and p.rhs[0] in nts
-    # plain: exactly two nonterminals, or a single terminal, or empty
-    if len(p.rhs) == 2:
-        return all(s in nts for s in p.rhs)
-    if len(p.rhs) == 1:
-        return p.rhs[0] in g.symbols.terminal_set
-    return len(p.rhs) == 0
-
-
 def reduced_form_check(g: IndexedGrammar) -> ReducedFormReport:
-    offenders = tuple(k for k, p in enumerate(g.productions) if not _production_reduced(g, p))
+    """Reduced form (stackengine.reduced): every production is a push
+    A -> B^f, a pop A^f -> B, or a plain A -> B C, A -> t or A -> _."""
+    offenders = tuple(k for k, rule in enumerate(g.stack_rules) if not reduced(rule))
     return ReducedFormReport(not offenders, offenders)
 
 
 def marked_index_end_check(g: IndexedGrammar) -> bool:
     """True iff the start symbol occurs in exactly one production, that
     production is a push S -> A^e, and its index e occurs in no other rule."""
-    mentions = []
-    for k, p in enumerate(g.productions):
-        occurs = p.lhs == g.start
-        if isinstance(p, Push):
-            occurs = occurs or p.rhs == g.start
-        else:
-            occurs = occurs or g.start in p.rhs
-        if occurs:
-            mentions.append(k)
-    if len(mentions) != 1:
-        return False
-    p = g.productions[mentions[0]]
-    if not isinstance(p, Push) or p.lhs != g.start:
-        return False
-    marker = p.index
-    for k, q in enumerate(g.productions):
-        if k == mentions[0]:
-            continue
-        if isinstance(q, (Push, Pop)) and q.index == marker:
-            return False
-    return True
+    return end_marker(g.stack_rules, g.start) is not None
 
 
 def fresh_symbol(base: str, taken) -> str:
@@ -327,6 +311,9 @@ def mark_index_end(g: IndexedGrammar) -> IndexedGrammar:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The verdict of validate_derivation_tree and validate_cstructure;
+    license maps each internal address to the number of its licensing rule."""
+
     ok: bool
     errors: tuple[tuple[TreeAddress, str, str], ...]  # (address, condition, message)
     license: Mapping[TreeAddress, int] | None
@@ -489,17 +476,15 @@ def _compositions(total: int, parts: int, minimum: int):
 
 def _materialize(node) -> DerivationTree:
     labels: dict[TreeAddress, Label] = {}
-
-    def walk(n, addr: TreeAddress) -> None:
+    todo = [(node, ROOT)]
+    while todo:
+        n, addr = todo.pop()
         if n[0] == _LEAF:
             labels[addr] = LeafLabel(n[1])
-            return
+            continue
         _, lab, children = n
         labels[addr] = lab
-        for i, c in enumerate(children, start=1):
-            walk(c, addr.child(i))
-
-    walk(node, ROOT)
+        todo.extend((children[i - 1], addr.child(i)) for i in range(len(children), 0, -1))
     return tree_of(labels)
 
 
@@ -532,22 +517,6 @@ def enumerate_derivations(
 # Fixpoint language engine
 
 
-def _stack_rules(g: IndexedGrammar) -> list[Rule]:
-    """The productions as stack-engine rules, numbered as in g: a push pushes
-    onto its one child, a pop is a guard over copying children, and a plain
-    rule copies.  Terminals become leaves, an empty right-hand side one
-    empty-string leaf."""
-    nts = g.symbols.nonterminal_set
-    rules = []
-    for p in g.productions:
-        if isinstance(p, Push):
-            rules.append(Rule(p.lhs, None, (Child(p.rhs, PUSH, p.index),)))
-            continue
-        children = tuple(Child(s, COPY) if s in nts else Child(s) for s in p.rhs) or (Child(""),)
-        rules.append(Rule(p.lhs, p.index if isinstance(p, Pop) else None, children))
-    return rules
-
-
 def indexed_language_upto(g: IndexedGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:
     """All terminal strings of length <= maxlen with a derivation within budget.
 
@@ -555,16 +524,14 @@ def indexed_language_upto(g: IndexedGrammar, maxlen: int, budget: Budget = DEFAU
     result is complete for every string whose minimal derivation fits in
     budget.max_nodes nodes.
     """
-    if maxlen < 0:
-        raise GrammarError("maxlen must be >= 0")
-    return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
+    return Fixpoint(g.stack_rules, g.start, maxlen, budget).run().language()
 
 
 def indexed_membership(g: IndexedGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Decide whether w has a derivation within budget; on success return a
     minimal-node witness tree (ties broken by production-index sequence)."""
     word = terminal_word(w, g.symbols.terminal_set, g.single_char_terminals)
-    fp = Fixpoint(_stack_rules(g), g.start, len(word), budget).run()
+    fp = Fixpoint(g.stack_rules, g.start, len(word), budget).run()
     walk = fp.witness(word)
     if walk is None:
         return MembershipResult(False, None, fp.stats.exhausted)

@@ -17,6 +17,12 @@ as prefixes of one another since they constrain the same chain; the root
 accepts any demand because the chain below a free node can always be built.
 Only stack-form rules pop a child, so indexed searches carry no demand.
 
+The paper's translations are defined on two shapes, and both are read here
+from the compiled rules, so indexed and stack-form grammars share one
+definition of each: reduced(rule), Aho's (1968) reduced form, and
+end_marker(rules, start), the dedicated stack-end value that a start symbol
+pushes (a marked index end, or a sink-mapped root).
+
 State discovery is gated by an optimistic minimum-yield bound on truncated
 stacks, which is an exact exclusion; stack-length and state-count caps are
 budget events and set the exhausted flag.
@@ -75,6 +81,32 @@ def terminal_word(w: Sequence[str] | str, terminals: Collection[str], single_cha
         if s not in terminals:
             raise GrammarError(f"{s!r} is not a terminal of this grammar")
     return tuple(w)
+
+
+def reduced(rule: Rule) -> bool:
+    """Reduced form: one PUSH or POP child, a guard over one COPY child, two
+    COPY children, or one leaf."""
+    ops = tuple(c.op for c in rule.children)
+    if rule.guard is not None:
+        return ops == (COPY,)
+    return ops in ((PUSH,), (POP,), (COPY, COPY), (None,))
+
+
+def end_marker(rules: Sequence[Rule], start: str) -> str | None:
+    """The value pushed by the one rule that mentions start, when that rule
+    is a guard-free unary PUSH from start and no other rule pushes, pops or
+    guards its value; otherwise None."""
+    mentions = [r for r in rules if r.mother == start or any(c.symbol == start for c in r.children)]
+    if len(mentions) != 1:
+        return None
+    (rule,) = mentions
+    if rule.mother != start or rule.guard is not None or [c.op for c in rule.children] != [PUSH]:
+        return None
+    marker = rule.children[0].value
+    for r in rules:
+        if r is not rule and (r.guard == marker or any(c.value == marker for c in r.children)):
+            return None
+    return marker
 
 
 # --------------------------------------------------------------------------
@@ -210,6 +242,8 @@ class Fixpoint:
     """
 
     def __init__(self, rules: Sequence[Rule], start: str, maxlen: int, budget: Budget):
+        if maxlen < 0:
+            raise GrammarError("maxlen must be >= 0")
         self.rules = rules
         self.by_mother: dict[str, list[int]] = {}
         for ri, rule in enumerate(rules):
@@ -371,16 +405,16 @@ class Fixpoint:
         if not keys:
             return None
         out: list = []
-
-        def walk(state: State, key, addr: TreeAddress, slot) -> None:
-            out.append((addr, slot, state))
-            _, seq, refs, _ = self.entries[state][key]
-            for i, ref in enumerate(refs):
-                caddr = addr.child(i + 1)
-                if isinstance(ref, str):
-                    out.append((caddr, (seq[0], i), ref))
-                else:
-                    walk(ref[0], ref[1], caddr, (seq[0], i))
-
-        walk(self.root, min(keys, key=lambda k: store[k][:2] + (k,)), ROOT, None)
+        # (address, slot, state or leaf symbol, entry key or None for a leaf)
+        todo = [(ROOT, None, self.root, min(keys, key=lambda k: store[k][:2] + (k,)))]
+        while todo:
+            addr, slot, item, key = todo.pop()
+            out.append((addr, slot, item))
+            if key is None:
+                continue
+            _, seq, refs, _ = self.entries[item][key]
+            for i in reversed(range(len(refs))):
+                ref = refs[i]
+                child = (ref, None) if isinstance(ref, str) else ref
+                todo.append((addr.child(i + 1), (seq[0], i), *child))
         return out

@@ -35,6 +35,7 @@ from .indexed import (
     tree_of,
     validate_derivation_tree,
 )
+from . import stackengine
 from .trees import TreeAddress
 from .unification import (
     CStructure,
@@ -189,12 +190,10 @@ def reverse_u(g: SimpleUnificationGrammar) -> tuple[IndexedGrammar, RuleCorrespo
 
 def end_marker(g: IndexedGrammar) -> str:
     """The dedicated stack-end index of a marked grammar (pre: marked)."""
-    if not marked_index_end_check(g):
+    marker = stackengine.end_marker(g.stack_rules, g.start)
+    if marker is None:
         raise PreconditionError("the grammar does not mark the end of its index stacks")
-    for p in g.productions:
-        if isinstance(p, Push) and p.lhs == g.start:
-            return p.index
-    raise GrammarError("internal error: marked grammar without a start push")  # pragma: no cover
+    return marker
 
 
 def cstructure_from_derivation(

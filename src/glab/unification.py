@@ -44,8 +44,8 @@ from .features import (
     ValueClash,
     solve,
 )
-from .indexed import _check_symbol, fresh_symbol
-from .stackengine import Child, Fixpoint, Rule, Word, terminal_word
+from .indexed import ValidationReport, _check_symbol, fresh_symbol
+from .stackengine import Child, Fixpoint, Rule, Word, end_marker, reduced, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
 
 Path = tuple[str, ...]
@@ -364,17 +364,10 @@ class CStructure:
         return "".join(self.terminal_symbols)
 
 
-@dataclass(frozen=True)
-class CsValidationReport:
-    ok: bool
-    errors: tuple[tuple[TreeAddress, str, str], ...]
-    license: Mapping[TreeAddress, int] | None  # internal address -> combined rule index
-
-
-def validate_cstructure(g: SimpleUnificationGrammar, cs: CStructure) -> CsValidationReport:
+def validate_cstructure(g: SimpleUnificationGrammar, cs: CStructure) -> ValidationReport:
     """Check the tree against the grammar, licensing each internal node by the
     first combined rule (productions, then lexicon) matching its children's
-    categories and schemata."""
+    categories and schemata; the license maps to combined rule indices."""
     errors: list[tuple[TreeAddress, str, str]] = []
     license: dict[TreeAddress, int] = {}
     nts = set(g.nonterminals)
@@ -413,7 +406,7 @@ def validate_cstructure(g: SimpleUnificationGrammar, cs: CStructure) -> CsValida
         else:
             license[a] = found
     ok = not errors
-    return CsValidationReport(ok, tuple(errors), license if ok else None)
+    return ValidationReport(ok, tuple(errors), license if ok else None)
 
 
 def instantiate(schema: Schema, mother: TreeAddress, daughter: TreeAddress) -> frozenset[Equation]:
@@ -557,22 +550,22 @@ def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:
     return min(max_nodes, bound)
 
 
-def _materialize_cs(node, start_cat: str) -> CStructure:
+def _materialize_cs(node) -> CStructure:
     categories: dict[TreeAddress, str] = {}
     eqsets: dict[TreeAddress, Schema] = {}
-
-    def walk(n, addr: TreeAddress) -> None:
+    todo = [(node, ROOT)]
+    while todo:
+        n, addr = todo.pop()
         if n[0] == _LEAF:
             categories[addr] = n[1]
-            return
+            continue
         _, cat, children = n
         categories[addr] = cat
-        for k, (child, schema) in enumerate(children, start=1):
+        for k in range(len(children), 0, -1):
+            child, schema = children[k - 1]
             caddr = addr.child(k)
             eqsets[caddr] = schema
-            walk(child, caddr)
-
-    walk(node, ROOT)
+            todo.append((child, caddr))
     return CStructure(domain_of(categories.keys()), categories, eqsets)
 
 
@@ -597,13 +590,9 @@ def enumerate_cstructures(
                 stats.mark_exhausted("max_trees")
                 return
             stats.trees += 1
-            yield _materialize_cs(node, g.start)
+            yield _materialize_cs(node)
         if stats.exhausted:
             return
-
-
-# earlier names of the one membership answer, kept so that importers still work
-UgiMembership = SugMembership = MembershipResult
 
 
 def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
@@ -669,48 +658,21 @@ def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] 
                     offenders.append(("production", k, f"attribute pair {dpair} differs from {pair}"))
             children.append(Child(d.category, kind, value))
         rules.append(Rule(p.mother, None, tuple(children)))
-    rules.extend(Rule(r.mother, None, (Child(r.word),)) for r in g.lexicon)
     for k, r in enumerate(g.lexicon):
         if r.schema:
             offenders.append(("lexicon", k, "lexicon schemata must be empty"))
-    is_ugi = not offenders
-
-    is_reduced = False
-    if is_ugi:
-        reduced_offenders: list[tuple[str, int, str]] = []
-        for k, p in enumerate(g.productions):
-            shapes = [c.op for c in rules[k].children]
-            if len(shapes) == 1 and shapes[0] in ("push", "pop"):
-                continue
-            if len(shapes) == 2 and shapes == ["copy", "copy"]:
-                continue
-            reduced_offenders.append(("production", k, "not a unary push/pop or binary copy-copy rule"))
-        is_reduced = not reduced_offenders
-        offenders = reduced_offenders
-
-    has_sink = False
-    if is_ugi:
-        mentions = [
-            k
-            for k, p in enumerate(g.productions)
-            if p.mother == g.start or any(d.category == g.start for d in p.daughters)
-        ]
-        if len(mentions) == 1:
-            k = mentions[0]
-            p = g.productions[k]
-            per = rules[k].children
-            if p.mother == g.start and len(p.daughters) == 1 and per and per[0].op == "push":
-                marker = per[0].value
-                elsewhere = False
-                for k2, p2 in enumerate(g.productions):
-                    if k2 == k:
-                        continue
-                    for c in rules[k2].children:
-                        if c.value == marker:
-                            elsewhere = True
-                has_sink = not elsewhere
-
-    return UgiReport(is_ugi, is_reduced, has_sink, tuple(offenders), pair), tuple(rules) if is_ugi else None
+    if offenders:
+        return UgiReport(False, False, False, tuple(offenders), pair), None
+    # reduced form and the sink are read from the productions alone; a
+    # lexicon rule, one leaf, is always reduced
+    offenders = [
+        ("production", k, "not a unary push/pop or binary copy-copy rule")
+        for k, rule in enumerate(rules)
+        if not reduced(rule)
+    ]
+    has_sink = end_marker(rules, g.start) is not None
+    rules.extend(Rule(r.mother, None, (Child(r.word),)) for r in g.lexicon)
+    return UgiReport(True, not offenders, has_sink, tuple(offenders), pair), tuple(rules)
 
 
 def _require_ugi(g: SimpleUnificationGrammar, what: str) -> UgiReport:
@@ -985,8 +947,6 @@ def _slot_schema(g: SimpleUnificationGrammar, slot: tuple[int, int]) -> Schema:
 def ugi_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:
     """All grammatical strings of length <= maxlen whose best witness fits the
     budget, via the demand-string fixpoint.  Requires stack-form schemata."""
-    if maxlen < 0:
-        raise GrammarError("maxlen must be >= 0")
     return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
 
 
@@ -1003,7 +963,7 @@ def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     witness = CStructure(domain_of(categories.keys()), categories, eqsets)
     report = validate_cstructure(g, witness)
     if not report.ok:  # pragma: no cover - engine invariant
-        raise GrammarError(f"internal error: witness failed validation: {report.errors[0]}")
+        raise GrammarError(f"internal error: witness failed validation: {report.first_error}")
     result = generates_check(witness)
     if not isinstance(result, Consistent):  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness is inconsistent: {result.diagnosis}")

@@ -9,7 +9,9 @@ structure isomorphism by canonical relabeling.
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 from itertools import product
 
 from glab import (
@@ -42,6 +44,22 @@ from glab import (
 from glab.indexed import terminal_symbols
 
 FUZZ_BUDGET = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8)
+
+
+@contextlib.contextmanager
+def shallow_recursion(headroom: int = 100):
+    """Run the block with the recursion limit at the current frame depth
+    plus headroom, so code that recurses once per tree level fails on deep
+    trees instead of passing on a generous default limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def sample_until(make, accept, count, max_tries):

@@ -18,11 +18,13 @@ from glab import (
     NodeLabel,
     Plain,
     Pop,
+    PreconditionError,
     Push,
     ROOT,
     SearchStats,
     SymbolTable,
     address,
+    end_marker,
     enumerate_derivations,
     fresh_symbol,
     indexed_language_upto,
@@ -35,7 +37,7 @@ from glab import (
 )
 from glab.indexed import terminal_string, terminal_symbols
 
-from helpers import FUZZ_BUDGET, indexed_language_by_trees, rand_reduced_marked_indexed
+from helpers import FUZZ_BUDGET, indexed_language_by_trees, rand_reduced_marked_indexed, shallow_recursion
 
 
 def lockstep_grammar() -> IndexedGrammar:
@@ -221,9 +223,66 @@ def test_reduced_form_check():
     assert report.offenders == (2, 3, 4, 5, 6, 7, 8)
 
 
+def shapes_grammar(*rules) -> IndexedGrammar:
+    # S -> A^$ followed by the rules under test
+    sym = SymbolTable(("S", "A", "B", "C"), ("a",), ("$", "f"))
+    return IndexedGrammar(sym, (Push("S", "A", "$"),) + rules, "S")
+
+
+@pytest.mark.parametrize(
+    "rule, reduced",
+    [
+        (Push("A", "B", "f"), True),
+        (Pop("A", "f", ("B",)), True),
+        (Plain("A", ("B", "C")), True),
+        (Plain("A", ("a",)), True),
+        (Plain("A", ()), True),
+        (Pop("A", "f", ()), False),
+        (Pop("A", "f", ("a",)), False),
+        (Pop("A", "f", ("B", "C")), False),
+        (Plain("A", ("B",)), False),
+        (Plain("A", ("B", "a")), False),
+        (Plain("A", ("a", "a")), False),
+    ],
+    ids=str,
+)
+def test_reduced_form_of_every_production_shape(rule, reduced):
+    report = reduced_form_check(shapes_grammar(rule))
+    assert report.is_reduced is reduced
+    assert report.offenders == (() if reduced else (1,))
+
+
 def test_marked_index_end_check():
     assert marked_index_end_check(doubling_grammar())
     assert not marked_index_end_check(lockstep_grammar())
+
+
+@pytest.mark.parametrize(
+    "rules, marked",
+    [
+        ((Push("A", "B", "f"), Pop("B", "f", ("C",))), True),
+        ((Pop("A", "$", ("B",)),), False),
+        ((Push("A", "B", "$"),), False),
+        ((Plain("A", ("S", "B")),), False),
+        ((Push("A", "S", "f"),), False),
+    ],
+    ids=["marked", "marker-guards-a-pop", "marker-pushed-again", "start-in-a-plain-rule", "start-pushed-to"],
+)
+def test_marked_index_end_on_marker_reuse_and_start_mentions(rules, marked):
+    g = shapes_grammar(*rules)
+    assert marked_index_end_check(g) is marked
+    if marked:
+        assert end_marker(g) == "$"
+    else:
+        with pytest.raises(PreconditionError):
+            end_marker(g)
+
+
+def test_marked_index_end_needs_a_push_from_the_start():
+    sym = SymbolTable(("S", "A"), ("a",), ("$",))
+    assert not marked_index_end_check(IndexedGrammar(sym, (Pop("S", "$", ("A",)),), "S"))
+    assert not marked_index_end_check(IndexedGrammar(sym, (Plain("S", ("A", "A")),), "S"))
+    assert marked_index_end_check(IndexedGrammar(sym, (Push("S", "S", "$"),), "S"))
 
 
 def test_mark_index_end():
@@ -264,6 +323,16 @@ def test_enumeration_streams_valid_trees_by_size():
     for t in trees:
         assert validate_derivation_tree(g, t).ok
     assert trees[1] == lockstep_tree()
+
+
+def test_enumeration_of_deep_unary_chains_does_not_recurse_per_level():
+    sym = SymbolTable(("S",), ("a",), ())
+    g = IndexedGrammar(sym, (Plain("S", ("S",)), Plain("S", ("a",))), "S")
+    with shallow_recursion():
+        trees = list(enumerate_derivations(g, Budget(max_nodes=200)))
+    assert [len(t.domain) for t in trees] == list(range(2, 201))
+    assert trees[-1].domain.height == 199
+    assert validate_derivation_tree(g, trees[-1]).ok
 
 
 def test_enumeration_respects_tree_cap():

@@ -35,6 +35,8 @@ from glab import (
     sug_membership,
     ugi_language_upto,
     ugi_membership,
+    validate_cstructure,
+    validate_derivation_tree,
 )
 from glab.indexed import terminal_symbols
 
@@ -156,3 +158,35 @@ def test_capped_search_does_not_depend_on_the_hash_seed():
         )
         outputs.append(proc.stdout)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+# Right-branching grammars for a^n: the witness of a^1200 is 1200 levels
+# deep, past the default recursion limit of 1000, so every walk over it must
+# keep its own stack.
+
+
+def test_indexed_witness_of_a_deep_word():
+    g = IndexedGrammar(SymbolTable(("S",), ("a",), ()), (Plain("S", ("a", "S")), Plain("S", ("a",))), "S")
+    r = indexed_membership(g, "a" * 1200)
+    assert r.member and not r.exhausted
+    assert len(r.witness.domain) == 2400 and r.witness.domain.height == 1200
+    assert terminal_symbols(r.witness) == ("a",) * 1200
+    assert validate_derivation_tree(g, r.witness).ok
+
+
+def test_stack_form_witness_of_a_deep_word():
+    g = SimpleUnificationGrammar(
+        ("S", "A"),
+        ("a",),
+        ("next", "idx"),
+        (),
+        (UProduction("S", (Daughter("A", copy_schema()), Daughter("S", copy_schema()))),),
+        (LexRule("A", "a", frozenset()), LexRule("S", "a", frozenset())),
+        "S",
+    )
+    r = ugi_membership(g, "a" * 1200)
+    assert r.member and not r.exhausted
+    # 1200 S nodes, 1199 A nodes above the first 1199 leaves, 1200 leaves
+    assert len(r.witness.domain) == 3599 and r.witness.domain.height == 1200
+    assert r.witness.terminal_symbols == ("a",) * 1200
+    assert validate_cstructure(g, r.witness).ok

@@ -41,6 +41,7 @@ from glab import (
     suffix_chain_structure,
     tree_of,
     u_transform,
+    ugi_check,
     ugi_language_upto,
     validate_cstructure,
     validate_derivation_tree,
@@ -173,6 +174,19 @@ def test_reverse_u_preconditions():
     )
     with pytest.raises(PreconditionError):
         reverse_u(lex_start)
+
+
+def test_reverse_u_names_the_lexicon_when_the_start_symbol_has_a_word():
+    g = SimpleUnificationGrammar(
+        ("S", "T"), ("a",), ("next", "idx"), ("$",),
+        (UProduction("S", (Daughter("T", push_schema("next", "idx", "$")),)),),
+        (LexRule("T", "a", frozenset()), LexRule("S", "a", frozenset())),
+        "S",
+    )
+    report = ugi_check(g)
+    assert report.is_ugi and report.is_reduced and report.has_sink_mapped_root
+    with pytest.raises(PreconditionError, match="the start symbol may not occur in the lexicon"):
+        reverse_u(g)
 
 
 def test_reverse_then_forward_is_the_identity_on_fuzzed_grammars():

@@ -55,7 +55,7 @@ from glab import (
     well_defined_check,
 )
 
-from helpers import FUZZ_BUDGET, rand_general_ugi, rand_reduced_ugi, rand_ugi_cstructure
+from helpers import FUZZ_BUDGET, rand_general_ugi, rand_reduced_ugi, rand_ugi_cstructure, shallow_recursion
 
 
 def agreement_grammar() -> SimpleUnificationGrammar:
@@ -306,6 +306,17 @@ def test_enumerate_cstructures_for_a_word():
     assert list(enumerate_cstructures(g, ("dog",))) == []
 
 
+def test_enumeration_of_deep_unary_chains_does_not_recurse_per_level():
+    g = SimpleUnificationGrammar(
+        ("S",), ("a",), (), (), (UProduction("S", (Daughter("S", copy_schema()),)),), (LexRule("S", "a", frozenset()),), "S"
+    )
+    with shallow_recursion():
+        structures = list(enumerate_cstructures(g, "a", Budget(max_nodes=200)))
+    assert [len(cs.domain) for cs in structures] == list(range(2, 201))
+    assert structures[-1].domain.height == 199
+    assert validate_cstructure(g, structures[-1]).ok
+
+
 def test_sug_membership_reference_semantics():
     g = agreement_grammar()
     yes = sug_membership(g, "this dog")
@@ -370,6 +381,54 @@ def test_ugi_check_reduced_offenders():
     report = ugi_check(g)
     assert report.is_ugi and not report.is_reduced
     assert report.offenders and report.offenders[0][0] == "production"
+
+
+def stack_shapes_grammar(*daughters) -> SimpleUnificationGrammar:
+    # a sink-mapped root S -> T^$ followed by T -> daughters
+    push = lambda v: push_schema("next", "idx", v)
+    return SimpleUnificationGrammar(
+        ("S", "T", "U"),
+        ("a",),
+        ("next", "idx"),
+        ("$", "f"),
+        (UProduction("S", (Daughter("T", push("$")),)), UProduction("T", daughters)),
+        (LexRule("U", "a", frozenset()),),
+        "S",
+    )
+
+
+@pytest.mark.parametrize(
+    "daughters, reduced",
+    [
+        ((Daughter("U", push_schema("next", "idx", "f")),), True),
+        ((Daughter("U", pop_schema("next", "idx", "f")),), True),
+        ((Daughter("U", copy_schema()), Daughter("U", copy_schema())), True),
+        ((Daughter("U", copy_schema()),), False),
+        ((Daughter("U", push_schema("next", "idx", "f")), Daughter("U", copy_schema())), False),
+        ((Daughter("U", copy_schema()), Daughter("U", pop_schema("next", "idx", "f"))), False),
+        ((Daughter("U", copy_schema()),) * 3, False),
+    ],
+    ids=["push", "pop", "copy-copy", "unary-copy", "binary-push", "binary-pop", "ternary-copy"],
+)
+def test_reduced_form_of_every_stack_shape(daughters, reduced):
+    report = ugi_check(stack_shapes_grammar(*daughters))
+    assert report.is_ugi and report.has_sink_mapped_root
+    assert report.is_reduced is reduced
+    expected = () if reduced else (("production", 1, "not a unary push/pop or binary copy-copy rule"),)
+    assert report.offenders == expected
+
+
+def test_sink_mapped_root_ignores_the_lexicon():
+    g = stack_shapes_grammar(Daughter("U", copy_schema()), Daughter("U", copy_schema()))
+    lex_start = SimpleUnificationGrammar(
+        g.nonterminals, g.terminals, g.attributes, g.values, g.productions, g.lexicon + (LexRule("S", "a", frozenset()),), "S"
+    )
+    assert ugi_check(lex_start).has_sink_mapped_root
+    # the marker used again, or the start symbol in a second production, is no sink
+    reused = stack_shapes_grammar(Daughter("U", pop_schema("next", "idx", "$")))
+    assert not ugi_check(reused).has_sink_mapped_root
+    recurs = stack_shapes_grammar(Daughter("S", copy_schema()), Daughter("U", copy_schema()))
+    assert not ugi_check(recurs).has_sink_mapped_root
 
 
 def test_ugi_engines_reject_other_grammars():
