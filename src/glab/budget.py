@@ -45,17 +45,21 @@ class SearchStats:
     """Mutable counters threaded through a single search.
 
     In the stack engine (glab.stackengine) steps counts the child
-    combinations built, and the engine is semi-naive: a rule rerun for a
-    state builds only the combinations that hold a child entry added or
-    improved since its last run, so max_steps bounds those.  improved counts
+    combinations of every join, and the engine is semi-naive: a rule rerun
+    for a state joins only the combinations that hold a child entry added or
+    improved since its last run, so max_steps bounds those.  A combination
+    that is over length or whose demands clash counts as a step whether the
+    engine builds it or steps over it; skipped counts the ones it stepped
+    over without building, so steps - skipped were built.  improved counts
     the entries the engine added or improved, so steps / improved is the
-    number of combinations built per useful one.
+    number of combinations per useful one.
     """
 
     trees: int = 0
     steps: int = 0
     states: int = 0
     improved: int = 0
+    skipped: int = 0
     exhausted: bool = False
     reasons: list[str] = field(default_factory=list)
 
@@ -83,9 +87,11 @@ class LanguageResult:
 class MembershipResult:
     """Every decider's answer: when member is True a minimal witness tree (a
     DerivationTree, or a CStructure with its least model), and whether a cap
-    cut the search short, so that a "no" may mean "not within budget"."""
+    cut the search short, so that a "no" may mean "not within budget";
+    reasons names the caps that did, as in LanguageResult."""
 
     member: bool
     witness: DerivationTree | CStructure | None
     exhausted: bool
     model: FeatureStructure | None = None
+    reasons: tuple[str, ...] = ()

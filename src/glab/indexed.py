@@ -534,9 +534,9 @@ def indexed_membership(g: IndexedGrammar, w: Word | str, budget: Budget = DEFAUL
     fp = Fixpoint(g.stack_rules, g.start, len(word), budget).run()
     walk = fp.witness(word)
     if walk is None:
-        return MembershipResult(False, None, fp.stats.exhausted)
+        return MembershipResult(False, None, fp.stats.exhausted, reasons=tuple(fp.stats.reasons))
     witness = tree_of({a: LeafLabel(item) if isinstance(item, str) else NodeLabel(*item) for a, _, item in walk})
     report = validate_derivation_tree(g, witness)
     if not report.ok:  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness failed validation: {report.first_error}")
-    return MembershipResult(True, witness, fp.stats.exhausted)
+    return MembershipResult(True, witness, fp.stats.exhausted, reasons=tuple(fp.stats.reasons))

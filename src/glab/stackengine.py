@@ -30,14 +30,18 @@ budget events and set the exhausted flag.
 Relaxation is semi-naive (Bancilhon & Ramakrishnan 1986): when a rule is
 rerun for a state because some child state gained or improved entries, it
 joins only the combinations of child entries that hold at least one such
-fresh entry.  SearchStats.steps, and so Budget.max_steps, counts those
-combinations only; SearchStats.improved counts the entries added or
+fresh entry.  A large join is walked in product order and steps over the
+blocks of combinations that are over length or clash on their demands
+without building them.  SearchStats.steps, and so Budget.max_steps, counts
+every combination of each join, built or stepped over; SearchStats.skipped
+counts those stepped over, and SearchStats.improved the entries added or
 improved.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import deque
 from typing import Collection, NamedTuple, Sequence
@@ -356,40 +360,148 @@ class Fixpoint:
         stats, max_steps = self.stats, self.budget.max_steps
         maxlen, max_nodes = self.maxlen, self.budget.max_nodes
         changed = False
-        for chosen in itertools.chain.from_iterable(itertools.starmap(itertools.product, joins)):
-            if counted:
-                stats.steps += 1
-                if stats.steps > max_steps:
-                    stats.mark_exhausted("max_steps")
+        for opts in joins:
+            sizes = list(map(len, opts))
+            total = math.prod(sizes)
+            # the walk reads every option about twice before it builds a
+            # combination, so a smaller product is cheaper to build whole;
+            # a rule with only leaf children has a product of one
+            if total > 2 * sum(sizes):
+                done = self._walk(ri, opts, sizes, total, store)
+                if done is None:
                     return
-            word: Word = ()
-            cost = 1
-            for c in chosen:
-                word += c[0]
-                cost += c[2]
-            if len(word) > maxlen or cost > max_nodes:
+                changed = changed or done
                 continue
-            demand: Stack | None = ()
-            if demands:
+            for chosen in itertools.product(*opts):
+                if counted:
+                    stats.steps += 1
+                    if stats.steps > max_steps:
+                        stats.mark_exhausted("max_steps")
+                        return
+                word: Word = ()
+                cost = 1
                 for c in chosen:
-                    demand = _merge_demand(demand, c[1])
-                    if demand is None:
-                        break
-                if demand is None:
+                    word += c[0]
+                    cost += c[2]
+                if len(word) > maxlen or cost > max_nodes:
                     continue
-            seq = (ri,)
-            for c in chosen:
-                seq += c[3]
-            key = (word, demand)
-            old = store.get(key)
-            if old is None or (cost, seq) < old[:2]:
-                stats.improved += 1
-                store[key] = (cost, seq, tuple(c[4] for c in chosen), stats.improved)
-                changed = True
+                demand: Stack | None = ()
+                if demands:
+                    for c in chosen:
+                        demand = _merge_demand(demand, c[1])
+                        if demand is None:
+                            break
+                    if demand is None:
+                        continue
+                seq = (ri,)
+                for c in chosen:
+                    seq += c[3]
+                key = (word, demand)
+                old = store.get(key)
+                if old is None or (cost, seq) < old[:2]:
+                    stats.improved += 1
+                    store[key] = (cost, seq, tuple(c[4] for c in chosen), stats.improved)
+                    changed = True
         self._ran[combo] = clock
         if changed:
             for parent_combo in self.deps.get(state, ()):
                 self._enqueue(parent_combo)
+
+    def _walk(self, ri: int, opts: list[list], sizes: list[int], total: int, store: dict) -> bool | None:
+        """Join one option list per child position into entries of store, in
+        the order of itertools.product(*opts); return whether an entry was
+        added or improved, or None when max_steps cut the run short.
+
+        Only combinations within maxlen whose demands merge are built.  An
+        option at position i that is too long even with the shortest options
+        after it, or whose demand clashes with the demand chosen before it,
+        stands for the block of prod(sizes[i + 1:]) combinations that extend
+        it; the walk finds the options it may use through indexes by (yield
+        length, demand) and steps over the others without touching them.
+        Steps count every combination, built or not, and max_steps cuts the
+        run at the same combination as if all were built: the combination at
+        index n of the product is step n + 1 of the join.
+        """
+        stats, maxlen, max_nodes = self.stats, self.maxlen, self.budget.max_nodes
+        # the product index of the first combination past max_steps
+        cap = self.budget.max_steps - stats.steps
+        last = len(opts) - 1
+        lens = [[len(o[0]) for o in options] for options in opts]
+        # room[i]: the longest yield the options up to i may have together
+        room = [maxlen] * len(opts)
+        for i in range(last, 0, -1):
+            room[i - 1] = room[i] - min(lens[i])
+        indexes: list = [None] * len(opts)
+        found: dict = {}
+
+        def usable(i: int, r: int, demand: Stack) -> list[int]:
+            """The indices of the options at i with a yield of at most r
+            whose demand is a prefix of demand or extends it, in order."""
+            ks = found.get((i, r, demand))
+            if ks is not None:
+                return ks
+            if not (demand and any(o[1] for o in opts[i])):
+                ks = [k for k, n in enumerate(lens[i]) if n <= r]
+            else:
+                if indexes[i] is None:
+                    # (length, demand), and (length, proper prefix of the
+                    # demand), to the indices of the options
+                    exact: dict = {}
+                    extending: dict = {}
+                    for k, (n, o) in enumerate(zip(lens[i], opts[i])):
+                        exact.setdefault((n, o[1]), []).append(k)
+                        for j in range(len(o[1])):
+                            extending.setdefault((n, o[1][:j]), []).append(k)
+                    indexes[i] = exact, extending, sorted(set(lens[i]))
+                exact, extending, present = indexes[i]
+                fit = [n for n in present if n <= r]
+                parts = [extending.get((n, demand), ()) for n in fit]
+                parts += [exact.get((n, demand[:j]), ()) for n in fit for j in range(len(demand) + 1)]
+                ks = sorted(itertools.chain.from_iterable(parts))
+            found[i, r, demand] = ks
+            return ks
+
+        # the usable choices for the positions before the last, in product
+        # order, as (product index, yield, cost, demand, rule sequence, refs)
+        prefixes = [(0, (), 1, (), (ri,), ())]
+        for i in range(last):
+            options, n = opts[i], sizes[i]
+            grown = []
+            for at, word, cost, demand, seq, refs in prefixes:
+                for k in usable(i, room[i] - len(word), demand):
+                    o = options[k]
+                    d = o[1] if len(o[1]) > len(demand) else demand
+                    grown.append((at * n + k, word + o[0], cost + o[2], d, seq + o[3], refs + (o[4],)))
+            prefixes = grown
+        options, n = opts[last], sizes[last]
+        built = 0
+        changed = False
+        for at, word, cost, demand, seq, refs in prefixes:
+            at *= n
+            if at >= cap:
+                break
+            for k in usable(last, maxlen - len(word), demand):
+                if at + k >= cap:
+                    break
+                built += 1
+                o = options[k]
+                c = cost + o[2]
+                if c > max_nodes:
+                    continue
+                key = (word + o[0], o[1] if len(o[1]) > len(demand) else demand)
+                s = seq + o[3]
+                old = store.get(key)
+                if old is None or (c, s) < old[:2]:
+                    stats.improved += 1
+                    store[key] = (c, s, refs + (o[4],), stats.improved)
+                    changed = True
+        steps = min(total, cap + 1)
+        stats.steps += steps
+        stats.skipped += steps - built
+        if steps > cap:
+            stats.mark_exhausted("max_steps")
+            return None
+        return changed
 
     def language(self) -> LanguageResult:
         words = {w for (w, _) in self.entries.get(self.root, {})}

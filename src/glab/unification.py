@@ -606,8 +606,8 @@ def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     for cs in enumerate_cstructures(g, w, budget, stats):
         result = generates_check(cs)
         if isinstance(result, Consistent):
-            return MembershipResult(True, cs, stats.exhausted, result.model)
-    return MembershipResult(False, None, stats.exhausted)
+            return MembershipResult(True, cs, stats.exhausted, result.model, reasons=tuple(stats.reasons))
+    return MembershipResult(False, None, stats.exhausted, reasons=tuple(stats.reasons))
 
 
 # --------------------------------------------------------------------------
@@ -957,7 +957,7 @@ def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     fp = Fixpoint(rules, g.start, len(word), budget).run()
     walk = fp.witness(word)
     if walk is None:
-        return MembershipResult(False, None, fp.stats.exhausted)
+        return MembershipResult(False, None, fp.stats.exhausted, reasons=tuple(fp.stats.reasons))
     categories = {a: item if isinstance(item, str) else item[0] for a, _, item in walk}
     eqsets = {a: _slot_schema(g, slot) for a, slot, _ in walk if slot is not None}
     witness = CStructure(domain_of(categories.keys()), categories, eqsets)
@@ -967,7 +967,7 @@ def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     result = generates_check(witness)
     if not isinstance(result, Consistent):  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness is inconsistent: {result.diagnosis}")
-    return MembershipResult(True, witness, fp.stats.exhausted, result.model)
+    return MembershipResult(True, witness, fp.stats.exhausted, result.model, reasons=tuple(fp.stats.reasons))
 
 
 def sug_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:

@@ -30,6 +30,8 @@ from glab import (
     enumerate_derivations,
     indexed_language_upto,
     indexed_membership,
+    parse_indexed_grammar,
+    parse_unification_grammar,
     pop_schema,
     push_schema,
     sug_membership,
@@ -39,8 +41,11 @@ from glab import (
     validate_derivation_tree,
 )
 from glab.indexed import terminal_symbols
+from glab.stackengine import COPY, POP, Child, Fixpoint, Rule
 
 from helpers import all_words
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def assert_indexed_agrees_with_trees(g: IndexedGrammar, maxlen: int, max_nodes: int) -> set:
@@ -190,3 +195,44 @@ def test_stack_form_witness_of_a_deep_word():
     assert len(r.witness.domain) == 3599 and r.witness.domain.height == 1200
     assert r.witness.terminal_symbols == ("a",) * 1200
     assert validate_cstructure(g, r.witness).ok
+
+
+# Steps count every combination of a join; the ones the engine steps over
+# without building, because they are over length or clash on their demands,
+# are also counted in skipped.
+
+
+def test_skipped_combinations_on_a_demand_heavy_grammar():
+    # fuzz-pool grammar sink#31: U0 -> U0 U0, two pops below the root, U0 -> a
+    rules = [
+        Rule("U0", None, (Child("U0", COPY), Child("U0", COPY))),
+        Rule("U0", None, (Child("U0", POP, "v1"),)),
+        Rule("U0", None, (Child("U0", POP, "v0"),)),
+        Rule("U0", None, (Child("a"),)),
+    ]
+    budget = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8)
+    stats = Fixpoint(rules, "U0", 4, budget).run().stats
+    assert stats.skipped >= 0.9 * stats.steps
+    assert stats.steps == budget.max_steps + 1 and "max_steps" in stats.reasons
+
+
+def test_nothing_skipped_where_every_join_has_one_combination():
+    # each state of a^n b^n c^n has one entry, so no join can skip
+    g = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
+    stats = Fixpoint(g.stack_rules, g.start, 21, Budget()).run().stats
+    assert stats.steps > 0 and stats.skipped == 0
+
+
+def test_membership_results_name_the_caps():
+    ex1 = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
+    r = indexed_membership(ex1, "a" * 30 + "b" * 30 + "c" * 30)
+    assert r.member and r.exhausted and r.reasons == ("max_stack",)
+    assert indexed_membership(ex1, "aabbcc").reasons == ()
+    ex2u = parse_unification_grammar((FIXTURES / "example2_u.ugr").read_text())
+    r = ugi_membership(ex2u, "dddd", Budget(max_steps=3))
+    assert not r.member and r.exhausted and r.reasons == ("max_steps",)
+    agr = parse_unification_grammar((FIXTURES / "agreement.ugr").read_text())
+    r = sug_membership(agr, "these dogs", Budget(max_steps=3))
+    assert not r.member and r.exhausted and r.reasons == ("max_steps",)
+    r = sug_membership(agr, "these dogs")
+    assert r.member and r.reasons == ()
