@@ -334,7 +334,7 @@ class Fixpoint:
             else:
                 cstack, prepend = (), c.value
             cstate = (c.symbol, cstack)
-            if not self._discover(cstate):
+            if cstate not in self.entries and not self._discover(cstate):
                 return
             self.deps.setdefault(cstate, {})[combo] = None
             opts_seen: list = []
@@ -361,17 +361,20 @@ class Fixpoint:
         maxlen, max_nodes = self.maxlen, self.budget.max_nodes
         changed = False
         for opts in joins:
-            sizes = list(map(len, opts))
-            total = math.prod(sizes)
             # the walk reads every option about twice before it builds a
-            # combination, so a smaller product is cheaper to build whole;
-            # a rule with only leaf children has a product of one
-            if total > 2 * sum(sizes):
-                done = self._walk(ri, opts, sizes, total, store)
-                if done is None:
-                    return
-                changed = changed or done
-                continue
+            # combination, so a smaller product is cheaper to build whole,
+            # and one position has no blocks to step over; a rule with only
+            # leaf children, whose combination costs no step, has a product
+            # of one and is never walked
+            if len(opts) > 1:
+                sizes = list(map(len, opts))
+                total = math.prod(sizes)
+                if total > 2 * sum(sizes):
+                    done = self._walk(ri, opts, sizes, total, store)
+                    if done is None:
+                        return
+                    changed = changed or done
+                    continue
             for chosen in itertools.product(*opts):
                 if counted:
                     stats.steps += 1

@@ -216,11 +216,13 @@ def test_skipped_combinations_on_a_demand_heavy_grammar():
     assert stats.steps == budget.max_steps + 1 and "max_steps" in stats.reasons
 
 
-def test_nothing_skipped_where_every_join_has_one_combination():
-    # each state of a^n b^n c^n has one entry, so no join can skip
-    g = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
-    stats = Fixpoint(g.stack_rules, g.start, 21, Budget()).run().stats
-    assert stats.steps > 0 and stats.skipped == 0
+def test_nothing_skipped_where_every_combination_fits():
+    # the minimum-yield bound keeps out every state that cannot fit, and
+    # indexed grammars carry no demands
+    for fixture, maxlen in (("example1.ixg", 9), ("example2.ixg", 64)):
+        g = parse_indexed_grammar((FIXTURES / fixture).read_text())
+        stats = Fixpoint(g.stack_rules, g.start, maxlen, Budget()).run().stats
+        assert stats.steps > 0 and stats.skipped == 0
 
 
 def test_membership_results_name_the_caps():
