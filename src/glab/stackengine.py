@@ -334,7 +334,7 @@ class Fixpoint:
             else:
                 cstack, prepend = (), c.value
             cstate = (c.symbol, cstack)
-            if cstate not in self.entries and not self._discover(cstate):
+            if not self._discover(cstate):
                 return
             self.deps.setdefault(cstate, {})[combo] = None
             opts_seen: list = []
@@ -361,11 +361,11 @@ class Fixpoint:
         maxlen, max_nodes = self.maxlen, self.budget.max_nodes
         changed = False
         for opts in joins:
-            # the walk reads every option about twice before it builds a
-            # combination, so a smaller product is cheaper to build whole,
-            # and one position has no blocks to step over; a rule with only
-            # leaf children, whose combination costs no step, has a product
-            # of one and is never walked
+            # setting up the walk reads every option, so it pays only where
+            # the product is well above the number of options (measured: from
+            # about twice that number), and one position has no block to step
+            # over; a rule with only leaf children, whose combination costs
+            # no step, has a product of one and is never walked
             if len(opts) > 1:
                 sizes = list(map(len, opts))
                 total = math.prod(sizes)
