@@ -53,6 +53,11 @@ class SearchStats:
     over without building, so steps - skipped were built.  improved counts
     the entries the engine added or improved, so steps / improved is the
     number of combinations per useful one.
+
+    In the reference c-structure engine (glab.unification) steps counts the
+    production tries on (category, span, size) keys that the word's size
+    chart admits; keys that hold no tree cost no step.  trees counts the
+    c-structures streamed, and max_steps and max_trees bound the two.
     """
 
     trees: int = 0

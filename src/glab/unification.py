@@ -409,31 +409,31 @@ def validate_cstructure(g: SimpleUnificationGrammar, cs: CStructure) -> Validati
     return ValidationReport(ok, tuple(errors), license if ok else None)
 
 
+def _equations(edges) -> frozenset[Equation]:
+    """The schemata of (schema, mother, daughter) edges, with up read as the
+    mother's address and down as the daughter's."""
+    out: set[Equation] = set()
+    for schema, mother, daughter in edges:
+        for e in schema:
+            if isinstance(e, ArrowPathEq):
+                left = mother if e.left is UP else daughter
+                right = mother if e.right is UP else daughter
+                out.add(PathEq(left, e.left_path, right, e.right_path))
+            else:
+                out.add(ValEq(mother if e.side is UP else daughter, e.path, e.value))
+    return frozenset(out)
+
+
 def instantiate(schema: Schema, mother: TreeAddress, daughter: TreeAddress) -> frozenset[Equation]:
     """Substitute up by the mother's address and down by the daughter's."""
     if daughter.is_root or daughter.parent != mother:
         raise PreconditionError(f"{daughter} is not a daughter of {mother}")
-
-    def at(arrow: Arrow) -> TreeAddress:
-        return mother if arrow is UP else daughter
-
-    out: set[Equation] = set()
-    for e in schema:
-        if isinstance(e, ArrowPathEq):
-            out.add(PathEq(at(e.left), e.left_path, at(e.right), e.right_path))
-        else:
-            out.add(ValEq(at(e.side), e.path, e.value))
-    return frozenset(out)
+    return _equations(((schema, mother, daughter),))
 
 
 def collect_equations(cs: CStructure) -> frozenset[Equation]:
     """Union of the instantiated schemata of all non-root nodes."""
-    out: set[Equation] = set()
-    for a in cs.domain.sorted_addresses:
-        if a.is_root:
-            continue
-        out |= instantiate(cs.eqsets[a], a.parent, a)
-    return frozenset(out)
+    return _equations((cs.eqsets[a], a.parent, a) for a in cs.domain.sorted_addresses if not a.is_root)
 
 
 def generates_check(cs: CStructure) -> SolveResult:
@@ -448,11 +448,83 @@ def generates_check(cs: CStructure) -> SolveResult:
 _LEAF = "leaf"
 
 
+def _sizes(mask: int) -> Iterator[int]:
+    """The sizes in a size bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _sumset(a: int, b: int, cap: int) -> int:
+    """Every sum of a size in a and a size in b, as a bitmask within cap."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    out = 0
+    for s in _sizes(a):
+        out |= b << s
+    return out & cap
+
+
+def _size_chart(g: SimpleUnificationGrammar, word: Word, ceiling: int) -> dict[tuple[str, int, int], int]:
+    """The context-free backbone of a word: for each (category, i, j), the
+    bitmask of the sizes up to ceiling of the trees that the productions and
+    the lexicon build over word[i:j], schemata aside.
+
+    Spans go by length.  Within a span a unary rule, a unit cycle or an
+    empty-string daughter can feed a category back into the same span, so
+    the productions rerun until no mask grows; masks are bounded by the
+    ceiling, so that ends.
+    """
+    n = len(word)
+    cap = (1 << (ceiling + 1)) - 1
+    lex = 4 & cap  # a lexicon rule builds a tree of two nodes
+    chart: dict[tuple[str, int, int], int] = {}
+
+    def production(daughters, i: int, j: int) -> int:
+        # ends maps where the daughters placed so far end to their sizes
+        ends = {i: 1}
+        last = len(daughters) - 1
+        for k, d in enumerate(daughters):
+            nxt: dict[int, int] = {}
+            for m, acc in ends.items():
+                for e in range(j if k == last else m, j + 1):
+                    sizes = chart.get((d.category, m, e))
+                    if sizes:
+                        nxt[e] = nxt.get(e, 0) | _sumset(acc, sizes, cap)
+            if not nxt:
+                return 0
+            ends = nxt
+        return ends.get(j, 0) << 1 & cap
+
+    for length in range(n + 1):
+        for i in range(n - length + 1):
+            j = i + length
+            if length <= 1:
+                span = word[i:j]
+                for r in g.lexicon:
+                    if span == ((r.word,) if r.word else ()):
+                        chart[(r.mother, i, j)] = chart.get((r.mother, i, j), 0) | lex
+            grew = True
+            while grew:
+                grew = False
+                for p in g.productions:
+                    key = (p.mother, i, j)
+                    have = chart.get(key, 0)
+                    sizes = have | production(p.daughters, i, j)
+                    if sizes != have:
+                        chart[key] = sizes
+                        grew = True
+    return chart
+
+
 class _SizedCsEnumerator:
     """Exact-size enumeration of c-structure subtrees spanning a word slice.
 
     Memoized per (category, start, end, size); entries are (seq, category,
-    children) sorted by the combined-rule-index sequence in preorder.
+    children) sorted by the combined-rule-index sequence in preorder.  The
+    word's size chart rules out the keys that hold no tree: they are never
+    tried, so no step is spent on them.
     """
 
     def __init__(self, g: SimpleUnificationGrammar, word: Word, budget: Budget, stats: SearchStats):
@@ -460,6 +532,7 @@ class _SizedCsEnumerator:
         self.word = word
         self.budget = budget
         self.stats = stats
+        self.chart = _size_chart(g, word, _size_ceiling(g, len(word), budget.max_nodes))
         self.memo: dict[tuple[str, int, int, int], tuple] = {}
 
     def subtrees(self, cat: str, i: int, j: int, size: int):
@@ -467,8 +540,7 @@ class _SizedCsEnumerator:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        if size < 2:
-            self.memo[key] = ()
+        if not self.chart.get((cat, i, j), 0) >> size & 1:
             return ()
         out = []
         n_prods = len(self.g.productions)
@@ -507,13 +579,31 @@ class _SizedCsEnumerator:
                 yield (subs,)
             return
         d = daughters[0]
+        # every later daughter takes at least two nodes
+        most = nodes_left - 2 * (len(daughters) - 1)
+        if most < 2:
+            return
         for mid in range(i, j + 1):
-            for sz in range(2, nodes_left - 2 * (len(daughters) - 1) + 1):
+            for sz in _sizes(self.chart.get((d.category, i, mid), 0) & (1 << most + 1) - 1):
                 subs = self.subtrees(d.category, i, mid, sz)
                 if not subs:
                     continue
                 for rest in self._arrangements(daughters[1:], mid, j, nodes_left - sz):
                     yield (subs,) + rest
+
+    def nodes(self) -> Iterator[tuple]:
+        """The trees of the start category over the whole word, by size and
+        then rule sequence, within budget.max_trees."""
+        n = len(self.word)
+        for size in _sizes(self.chart.get((self.g.start, 0, n), 0)):
+            for node in self.subtrees(self.g.start, 0, n, size):
+                if self.stats.trees >= self.budget.max_trees:
+                    self.stats.mark_exhausted("max_trees")
+                    return
+                self.stats.trees += 1
+                yield node
+            if self.stats.exhausted:
+                return
 
 
 def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:
@@ -550,9 +640,11 @@ def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:
     return min(max_nodes, bound)
 
 
-def _materialize_cs(node) -> CStructure:
+def _node_edges(node) -> tuple[dict[TreeAddress, str], list[tuple[Schema, TreeAddress, TreeAddress]]]:
+    """The categories of a node's tree by address, and its (schema, mother,
+    daughter) edges."""
     categories: dict[TreeAddress, str] = {}
-    eqsets: dict[TreeAddress, Schema] = {}
+    edges: list[tuple[Schema, TreeAddress, TreeAddress]] = []
     todo = [(node, ROOT)]
     while todo:
         n, addr = todo.pop()
@@ -564,9 +656,14 @@ def _materialize_cs(node) -> CStructure:
         for k in range(len(children), 0, -1):
             child, schema = children[k - 1]
             caddr = addr.child(k)
-            eqsets[caddr] = schema
+            edges.append((schema, addr, caddr))
             todo.append((child, caddr))
-    return CStructure(domain_of(categories.keys()), categories, eqsets)
+    return categories, edges
+
+
+def _materialize_cs(node) -> CStructure:
+    categories, edges = _node_edges(node)
+    return CStructure(domain_of(categories.keys()), categories, {d: schema for schema, _, d in edges})
 
 
 def enumerate_cstructures(
@@ -579,34 +676,35 @@ def enumerate_cstructures(
     budget.max_nodes nodes, in ascending node count and rule-sequence order.
 
     The structures are valid for g by construction but not necessarily
-    consistent; pair with generates_check to decide grammaticality.
+    consistent; pair with generates_check to decide grammaticality.  Only
+    the sizes that the word's context-free backbone (its size chart) admits
+    are searched, so a word outside the backbone yields nothing after its
+    chart is built.
     """
     w = terminal_word(word, g.terminals, g.single_char_terminals)
     stats = stats if stats is not None else SearchStats()
-    enum = _SizedCsEnumerator(g, w, budget, stats)
-    for size in range(2, _size_ceiling(g, len(w), budget.max_nodes) + 1):
-        for node in enum.subtrees(g.start, 0, len(w), size):
-            if stats.trees >= budget.max_trees:
-                stats.mark_exhausted("max_trees")
-                return
-            stats.trees += 1
-            yield _materialize_cs(node)
-        if stats.exhausted:
-            return
+    for node in _SizedCsEnumerator(g, w, budget, stats).nodes():
+        yield _materialize_cs(node)
 
 
 def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Search the c-structure stream for one that generates a model.
 
-    This is the reference semantics: it tries every c-structure within budget
-    and solves each equation set.  Exponential; meant for desk-scale inputs
-    and for cross-checking the fixpoint engine.
+    This is the reference semantics: it tries every c-structure of the
+    enumerate_cstructures stream, in its order and within budget, and
+    solves each equation set.  A candidate is solved from the equations of
+    its node tree, the set and name domain generates_check would use, and
+    only the first consistent one is built as a CStructure, the witness.
+    Exponential; meant for desk-scale inputs and for cross-checking the
+    fixpoint engine.
     """
     stats = SearchStats()
-    for cs in enumerate_cstructures(g, w, budget, stats):
-        result = generates_check(cs)
+    word = terminal_word(w, g.terminals, g.single_char_terminals)
+    for node in _SizedCsEnumerator(g, word, budget, stats).nodes():
+        categories, edges = _node_edges(node)
+        result = solve(_equations(edges), categories.keys())
         if isinstance(result, Consistent):
-            return MembershipResult(True, cs, stats.exhausted, result.model, reasons=tuple(stats.reasons))
+            return MembershipResult(True, _materialize_cs(node), stats.exhausted, result.model, reasons=tuple(stats.reasons))
     return MembershipResult(False, None, stats.exhausted, reasons=tuple(stats.reasons))
 
 
@@ -975,7 +1073,8 @@ def sug_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget =
 
     Stack-form grammars go through the fixpoint engine; anything else falls
     back to a membership sweep over every string up to maxlen, which is
-    exponential in maxlen and meant for small alphabets only.
+    exponential in maxlen and meant for small alphabets only.  A string
+    outside the context-free backbone costs only its size chart.
     """
     if maxlen < 0:
         raise GrammarError("maxlen must be >= 0")

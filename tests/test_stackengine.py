@@ -233,8 +233,16 @@ def test_membership_results_name_the_caps():
     ex2u = parse_unification_grammar((FIXTURES / "example2_u.ugr").read_text())
     r = ugi_membership(ex2u, "dddd", Budget(max_steps=3))
     assert not r.member and r.exhausted and r.reasons == ("max_steps",)
-    agr = parse_unification_grammar((FIXTURES / "agreement.ugr").read_text())
-    r = sug_membership(agr, "these dogs", Budget(max_steps=3))
+    # S -> X, X -> X X: a five-word member takes 16 production tries to
+    # reach its first c-structure
+    amb = parse_unification_grammar(
+        "nonterminals S X\nterminals x0 x1 x2\nattributes agr num\nvalues sg pl du\nstart S\n"
+        "rule S -> X { up agr = dn agr }\n"
+        "rule X -> X { up agr = dn agr } X { up agr = dn agr }\n"
+        "lex X -> x0 { up agr num = sg }\nlex X -> x1 { up agr num = pl }\nlex X -> x2 { }\n"
+    )
+    r = sug_membership(amb, "x1 x2 x1 x2 x2", Budget(max_steps=3))
     assert not r.member and r.exhausted and r.reasons == ("max_steps",)
+    agr = parse_unification_grammar((FIXTURES / "agreement.ugr").read_text())
     r = sug_membership(agr, "these dogs")
     assert r.member and r.reasons == ()

@@ -5,6 +5,7 @@ The demand-string fixpoint is cross-checked against the reference semantics
 (enumerate every c-structure, solve every equation set) on fuzzed grammars.
 """
 
+import functools
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from glab import (
     PathEq,
     PreconditionError,
     ROOT,
+    SearchStats,
     SimpleUnificationGrammar,
     UP,
     UProduction,
@@ -40,6 +42,7 @@ from glab import (
     format_schema,
     generates_check,
     instantiate,
+    parse_unification_grammar,
     pop_schema,
     push_schema,
     satisfies_set,
@@ -55,7 +58,9 @@ from glab import (
     well_defined_check,
 )
 
-from helpers import FUZZ_BUDGET, rand_general_ugi, rand_reduced_ugi, rand_ugi_cstructure, shallow_recursion
+from glab.unification import _size_chart
+
+from helpers import FUZZ_BUDGET, all_words, rand_general_ugi, rand_reduced_ugi, rand_ugi_cstructure, shallow_recursion
 
 
 def agreement_grammar() -> SimpleUnificationGrammar:
@@ -315,6 +320,68 @@ def test_enumeration_of_deep_unary_chains_does_not_recurse_per_level():
     assert [len(cs.domain) for cs in structures] == list(range(2, 201))
     assert structures[-1].domain.height == 199
     assert validate_cstructure(g, structures[-1]).ok
+
+
+# Empty-string daughters on both sides of a word, a unit cycle through two
+# categories, and a binary rule over the empty string alone
+EMPTY_AND_CYCLES = """\
+nonterminals S A B E
+terminals a b
+attributes f
+values u
+start S
+rule S -> A { } B { }
+rule S -> S { } S { }
+rule A -> B { }
+rule B -> A { }
+rule A -> E { } A { } E { }
+rule E -> E { } E { }
+lex A -> a { }
+lex B -> b { }
+lex E -> _ { }
+"""
+
+
+def _tree_sizes(g, word):
+    """has(cat, i, j, size): some tree of that size over word[i:j], found by
+    recursion on size, apart from the size chart."""
+
+    @functools.cache
+    def has(cat, i, j, size):
+        if size == 2 and any(r.mother == cat and word[i:j] == ((r.word,) if r.word else ()) for r in g.lexicon):
+            return True
+        return any(fits(p.daughters, i, j, size - 1) for p in g.productions if p.mother == cat)
+
+    @functools.cache
+    def fits(daughters, i, j, size):
+        d, rest = daughters[0], daughters[1:]
+        if not rest:
+            return size >= 2 and has(d.category, i, j, size)
+        return any(
+            has(d.category, i, m, s) and fits(rest, m, j, size - s) for m in range(i, j + 1) for s in range(2, size - 1)
+        )
+
+    return has
+
+
+def test_size_chart_is_exact():
+    rng = random.Random(20261018)
+    grammars = [rand_general_ugi(rng) for _ in range(40)] + [parse_unification_grammar(EMPTY_AND_CYCLES)]
+    budget = Budget(max_nodes=9)
+    for g in grammars:
+        for w in all_words(g.terminals, 3):
+            chart = _size_chart(g, w, budget.max_nodes)
+            has = _tree_sizes(g, w)
+            for cat in g.nonterminals:
+                for i in range(len(w) + 1):
+                    for j in range(i, len(w) + 1):
+                        sizes = chart.get((cat, i, j), 0)
+                        assert sizes == sum(1 << s for s in range(2, budget.max_nodes + 1) if has(cat, i, j, s)), (g, w, cat, i, j)
+            stats = SearchStats()
+            streamed = {len(cs.domain) for cs in enumerate_cstructures(g, w, budget, stats)}
+            assert not stats.exhausted
+            start = chart.get((g.start, 0, len(w)), 0)
+            assert streamed == {s for s in range(budget.max_nodes + 1) if start >> s & 1}, (g, w)
 
 
 def test_sug_membership_reference_semantics():
