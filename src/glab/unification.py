@@ -612,7 +612,7 @@ def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:
     Without empty-string lexicon entries every leaf consumes a terminal, and
     without unit-production cycles a unary chain cannot repeat a category, so
     tree sizes are bounded; otherwise structures of every size may exist and
-    the caller must sweep all sizes up to max_nodes.
+    the size chart must run up to max_nodes.
     """
     if any(not r.word for r in g.lexicon):
         return max_nodes
