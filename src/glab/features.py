@@ -280,46 +280,68 @@ class Inconsistent:
 SolveResult = Union[Consistent, Inconsistent]
 
 
+# A rooted structure is the part of a feature structure reachable from one
+# node, numbered breadth-first from that node (node 0) over attribute-sorted
+# edges; node k is (its sorted (attribute, node) edges, its value or None).
+# Isomorphic parts are equal tuples.
+Rooted = tuple[tuple[tuple[tuple[str, int], ...], Union[str, None]], ...]
+EMPTY_ROOTED: Rooted = (((), None),)
+
+
 class _Closure:
-    """Union-find over terms with per-class successor maps and value demands."""
+    """Union-find over terms with per-class successor maps and value demands.
+
+    terms holds the term each class was created for; the inner nodes of a
+    loaded rooted structure are named by no term and hold None.
+    """
 
     def __init__(self) -> None:
-        self.terms: list[Term] = []
+        self.terms: list[Term | None] = []
         self.index: dict[Term, int] = {}
         self.parent: list[int] = []
         self.succ: list[dict[str, int]] = []
         self.values: list[set[str]] = []
 
+    def _fresh(self, term: Term | None) -> int:
+        j = len(self.parent)
+        self.terms.append(term)
+        self.parent.append(j)
+        self.succ.append({})
+        self.values.append(set())
+        return j
+
     def intern(self, name: TreeAddress, path: Path) -> int:
-        last = -1
-        for i in range(len(path) + 1):
-            t = (name, path[:i])
-            j = self.index.get(t)
-            if j is None:
-                j = len(self.terms)
-                self.index[t] = j
-                self.terms.append(t)
-                self.parent.append(j)
-                self.succ.append({})
-                self.values.append(set())
-                if i > 0:
-                    self.add_edge(last, path[i - 1], j)
-            last = j
-        return last
+        """The class of name.path, following the successor maps from the
+        class of name and creating a class for every missing step."""
+        cur = self.index.get((name, ()))
+        if cur is None:
+            cur = self.index[(name, ())] = self._fresh((name, ()))
+        for i, a in enumerate(path):
+            row = self.succ[self.find(cur)]
+            nxt = row.get(a)
+            if nxt is None:
+                nxt = row[a] = self._fresh((name, path[: i + 1]))
+            cur = nxt
+        return cur
+
+    def load(self, name: TreeAddress, part: Rooted) -> int:
+        """Add a rooted structure as fresh classes, its node 0 as the class
+        of name; the name must be new to the closure."""
+        base = len(self.parent)
+        self.index[(name, ())] = base
+        self.terms.append((name, ()))
+        self.terms.extend([None] * (len(part) - 1))
+        self.parent.extend(range(base, base + len(part)))
+        for edges, value in part:
+            self.succ.append({a: base + t for a, t in edges})
+            self.values.append(set() if value is None else {value})
+        return base
 
     def find(self, i: int) -> int:
         while self.parent[i] != i:
             self.parent[i] = self.parent[self.parent[i]]
             i = self.parent[i]
         return i
-
-    def add_edge(self, i: int, attr: str, j: int) -> None:
-        ri = self.find(i)
-        have = self.succ[ri].get(attr)
-        if have is None:
-            self.succ[ri][attr] = j
-        else:
-            self.union(have, j)
 
     def union(self, i: int, j: int) -> None:
         queue = [(i, j)]
@@ -344,7 +366,58 @@ class _Closure:
             self.values[rb] = set()
 
     def roots(self) -> list[int]:
-        return [i for i in range(len(self.terms)) if self.find(i) == i]
+        return [i for i in range(len(self.parent)) if self.find(i) == i]
+
+    def well_defined(self) -> bool:
+        """Whether every class holds at most one value, no valued class has
+        an out-edge and no class reaches itself.  Every class is checked, not
+        only those a given root reaches: a loaded part that no root reaches
+        can still be made cyclic or clashing by equations on its own paths."""
+        roots = self.roots()
+        for r in roots:
+            vs = self.values[r]
+            if len(vs) > 1 or (vs and self.succ[r]):
+                return False
+        state: dict[int, int] = {}  # 1 = on the current path, 2 = done
+        for start in roots:
+            if start in state:
+                continue
+            state[start] = 1
+            stack = [(start, iter(self.succ[start].values()))]
+            while stack:
+                q, targets = stack[-1]
+                for t in targets:
+                    r = self.find(t)
+                    seen = state.get(r)
+                    if seen == 1:
+                        return False
+                    if seen is None:
+                        state[r] = 1
+                        stack.append((r, iter(self.succ[r].values())))
+                        break
+                else:
+                    stack.pop()
+                    state[q] = 2
+        return True
+
+    def project(self, i: int) -> Rooted:
+        """The rooted structure of the classes reachable from i's class."""
+        first = self.find(i)
+        number = {first: 0}
+        order = [first]
+        out = []
+        for r in order:  # order grows as new classes are reached
+            edges = []
+            for a, t in sorted(self.succ[r].items()):
+                t = self.find(t)
+                k = number.get(t)
+                if k is None:
+                    k = number[t] = len(order)
+                    order.append(t)
+                edges.append((a, k))
+            vs = self.values[r]
+            out.append((tuple(edges), next(iter(vs)) if vs else None))
+        return tuple(out)
 
 
 def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> SolveResult:
@@ -370,19 +443,7 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
     cl = _Closure()
     for n in domain:
         cl.intern(n, ())
-    pairs: list[tuple[int, int]] = []
-    demands: list[tuple[int, str]] = []
-    for e in eqs:
-        if isinstance(e, PathEq):
-            li = cl.intern(e.left_name, e.left_path)
-            ri = cl.intern(e.right_name, e.right_path)
-            pairs.append((li, ri))
-        else:
-            demands.append((cl.intern(e.name, e.path), e.value))
-    for li, ri in pairs:
-        cl.union(li, ri)
-    for i, v in demands:
-        cl.values[cl.find(i)].add(v)
+    _close(cl, eqs)
 
     roots = cl.roots()
 
@@ -407,6 +468,48 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
         node, path = report.cycle
         return Inconsistent(CycleDetected(cl.terms[roots[node]], path))
     return Consistent(model)
+
+
+def solve_rooted(
+    equations: Iterable[Equation], root: TreeAddress, parts: Iterable[tuple[TreeAddress, Rooted]]
+) -> Rooted | None:
+    """The rooted structure at root of the least model of the equations, in
+    which every (name, part) of parts is loaded as the structure at name;
+    None when that model is not well defined.
+
+    This builds a constituent's structure from its daughters': the parts
+    are the daughters' rooted structures and the equations the mother's
+    instantiated schemata.  The equations reach a part only through paths
+    from its name, merges spread only to classes those reach, and a clash,
+    a valued node with an edge or a cycle never goes away when equations are
+    added, so the result is None exactly when solve rejects the whole
+    subtree's equations, and otherwise the part of solve's model reachable
+    from root.
+    """
+    cl = _Closure()
+    cl.intern(root, ())
+    for name, part in parts:
+        cl.load(name, part)
+    _close(cl, equations)
+    if not cl.well_defined():
+        return None
+    return cl.project(cl.index[(root, ())])
+
+
+def _close(cl: _Closure, equations: Iterable[Equation]) -> None:
+    """Intern every term of the equations in order, then merge the sides of
+    the path equations and add the value demands."""
+    pairs: list[tuple[int, int]] = []
+    demands: list[tuple[int, str]] = []
+    for e in equations:
+        if isinstance(e, PathEq):
+            pairs.append((cl.intern(e.left_name, e.left_path), cl.intern(e.right_name, e.right_path)))
+        else:
+            demands.append((cl.intern(e.name, e.path), e.value))
+    for li, ri in pairs:
+        cl.union(li, ri)
+    for i, v in demands:
+        cl.values[cl.find(i)].add(v)
 
 
 # --------------------------------------------------------------------------

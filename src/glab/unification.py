@@ -34,15 +34,18 @@ from typing import Iterator, Mapping, Union
 from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, SearchStats
 from .errors import GrammarError, PreconditionError
 from .features import (
+    EMPTY_ROOTED,
     Consistent,
     Equation,
     FeatureStructure,
     Inconsistent,
     PathEq,
+    Rooted,
     SolveResult,
     ValEq,
     ValueClash,
     solve,
+    solve_rooted,
 )
 from .indexed import ValidationReport, _check_symbol, fresh_symbol
 from .stackengine import Child, Fixpoint, Rule, Word, end_marker, reduced, terminal_word
@@ -294,6 +297,22 @@ class SimpleUnificationGrammar:
         return _classify(self)
 
     @cached_property
+    def _rooted_rules(self) -> tuple[tuple[tuple[frozenset[Equation], tuple[TreeAddress, ...]], ...], tuple[Rooted | None, ...]]:
+        """What the reference engine's rooted structures need of the rules:
+        per production its schemata instantiated with up as ROOT and the
+        k-th daughter as ROOT.child(k), with the daughters' addresses; per
+        lexicon rule, whose one daughter is a leaf, its rooted structure."""
+        productions = []
+        for p in self.productions:
+            names = tuple(ROOT.child(k) for k in range(1, len(p.daughters) + 1))
+            productions.append((_equations((d.schema, ROOT, a) for d, a in zip(p.daughters, names)), names))
+        leaf = ROOT.child(1)
+        lexicon = tuple(
+            solve_rooted(_equations(((r.schema, ROOT, leaf),)), ROOT, ((leaf, EMPTY_ROOTED),)) for r in self.lexicon
+        )
+        return tuple(productions), lexicon
+
+    @cached_property
     def single_char_terminals(self) -> bool:
         return all(len(t) == 1 for t in self.terminals)
 
@@ -522,9 +541,11 @@ class _SizedCsEnumerator:
     """Exact-size enumeration of c-structure subtrees spanning a word slice.
 
     Memoized per (category, start, end, size); entries are (seq, category,
-    children) sorted by the combined-rule-index sequence in preorder.  The
-    word's size chart rules out the keys that hold no tree: they are never
-    tried, so no step is spent on them.
+    children) sorted by the combined-rule-index sequence in preorder, and a
+    node's seq starts with the index of its rule.  The word's size chart
+    rules out the keys that hold no tree: they are never tried, so no step
+    is spent on them.  Entries are shared between the trees that contain
+    them, and so is each one's rooted structure (see rooted).
     """
 
     def __init__(self, g: SimpleUnificationGrammar, word: Word, budget: Budget, stats: SearchStats):
@@ -534,6 +555,9 @@ class _SizedCsEnumerator:
         self.stats = stats
         self.chart = _size_chart(g, word, _size_ceiling(g, len(word), budget.max_nodes))
         self.memo: dict[tuple[str, int, int, int], tuple] = {}
+        # id of a memo entry -> its rooted structure; the memo keeps the
+        # entries alive, so their ids stay theirs
+        self.structures: dict[int, Rooted | None] = {}
 
     def subtrees(self, cat: str, i: int, j: int, size: int):
         key = (cat, i, j, size)
@@ -590,6 +614,47 @@ class _SizedCsEnumerator:
                     continue
                 for rest in self._arrangements(daughters[1:], mid, j, nodes_left - sz):
                     yield (subs,) + rest
+
+    def rooted(self, node) -> Rooted | None:
+        """The rooted structure of a memo entry: the least model of its
+        subtree's instantiated schemata, restricted to the part its root
+        reaches, or None when that model is not well defined.
+
+        Computed once per entry, by features.solve_rooted from its
+        daughters' structures and its own rule's schemata, with an explicit
+        stack so that deep unary chains need no recursion.  None here means
+        exactly that solve rejects the subtree's equations.
+        """
+        done = self.structures
+        productions, lexicon = self.g._rooted_rules
+        todo = [node]
+        while todo:
+            n = todo[-1]
+            if id(n) in done:
+                todo.pop()
+                continue
+            seq, _, children = n
+            waiting = [c for c, _ in children if c[0] != _LEAF and id(c) not in done]
+            if waiting:
+                todo.extend(waiting)
+                continue
+            todo.pop()
+            rule = seq[0]
+            if rule >= len(productions):
+                done[id(n)] = lexicon[rule - len(productions)]
+                continue
+            equations, names = productions[rule]
+            parts = []
+            for (child, _), name in zip(children, names):
+                part = EMPTY_ROOTED if child[0] == _LEAF else done[id(child)]
+                if part is None:
+                    break
+                parts.append((name, part))
+            else:
+                done[id(n)] = solve_rooted(equations, ROOT, parts)
+                continue
+            done[id(n)] = None
+        return done[id(node)]
 
     def nodes(self) -> Iterator[tuple]:
         """The trees of the start category over the whole word, by size and
@@ -692,15 +757,22 @@ def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
 
     This is the reference semantics: it tries every c-structure of the
     enumerate_cstructures stream, in its order and within budget, and
-    solves each equation set.  A candidate is solved from the equations of
-    its node tree, the set and name domain generates_check would use, and
-    only the first consistent one is built as a CStructure, the witness.
-    Exponential; meant for desk-scale inputs and for cross-checking the
-    fixpoint engine.
+    returns the first whose equations solve finds consistent, with solve's
+    model.  Subtrees are shared between candidates, and each carries its
+    rooted structure, built once from its daughters' (see
+    _SizedCsEnumerator.rooted); a candidate whose rooted structure is None
+    is inconsistent and skipped unsolved.  Only a survivor is solved, from
+    the equations of its node tree, the set and name domain generates_check
+    would use; a survivor that solve rejected would continue the stream.
+    Only the witness is built as a CStructure.  Exponential; meant for
+    desk-scale inputs and for cross-checking the fixpoint engine.
     """
     stats = SearchStats()
     word = terminal_word(w, g.terminals, g.single_char_terminals)
-    for node in _SizedCsEnumerator(g, word, budget, stats).nodes():
+    candidates = _SizedCsEnumerator(g, word, budget, stats)
+    for node in candidates.nodes():
+        if candidates.rooted(node) is None:
+            continue
         categories, edges = _node_edges(node)
         result = solve(_equations(edges), categories.keys())
         if isinstance(result, Consistent):
