@@ -121,6 +121,10 @@ class TreeDomain:
     def __len__(self) -> int:
         return len(self.addresses)
 
+    def __repr__(self) -> str:
+        # in address order, not in the frozenset's hash order
+        return f"TreeDomain(addresses=frozenset({{{', '.join(map(repr, self.sorted_addresses))}}}))"
+
     def __contains__(self, a: object) -> bool:
         return a in self.addresses
 

@@ -369,6 +369,19 @@ class CStructure:
             and dict(self.eqsets) == dict(other.eqsets)
         )
 
+    def __repr__(self) -> str:
+        # addresses in order and schemata in sorted_schema order, so that the
+        # text does not depend on the hash seed
+        addresses = self.domain.sorted_addresses
+        categories = ", ".join(f"{a!r}: {self.categories[a]!r}" for a in addresses)
+        eqsets = ", ".join(
+            f"{a!r}: frozenset({{{', '.join(map(repr, sorted_schema(self.eqsets[a])))}}})" if self.eqsets[a]
+            else f"{a!r}: frozenset()"
+            for a in addresses
+            if not a.is_root
+        )
+        return f"CStructure(domain={self.domain!r}, categories={{{categories}}}, eqsets={{{eqsets}}})"
+
     @property
     def terminal_symbols(self) -> Word:
         out = []

@@ -15,6 +15,10 @@ import sys
 from itertools import product
 
 from glab import (
+    DOWN,
+    UP,
+    ArrowPathEq,
+    ArrowValEq,
     Budget,
     CStructure,
     Daughter,
@@ -160,6 +164,47 @@ def rand_general_ugi(rng: random.Random) -> SimpleUnificationGrammar:
     return SimpleUnificationGrammar(
         tuple(nts), tuple(terms), ("next", "idx"), tuple(vals), tuple(prods), tuple(lex), nts[0]
     )
+
+
+def rand_arbitrary_sug(rng: random.Random) -> SimpleUnificationGrammar:
+    """Grammar with arbitrary schemata, mostly outside stack form: 1-3
+    nonterminals, 1-5 productions of one or two daughters, 0-3 equations
+    per daughter over attributes f, g and values u, v.  The equations
+    include re-entrant ones that close a cycle (up f = up), values on inner
+    paths (up f g = u beside up f = v) that break atomicity, and values
+    that clash; the lexicon, with an empty-string entry now and then, puts
+    value equations on up."""
+    nts = [f"N{i}" for i in range(rng.randint(1, 3))]
+    terms = ["a", "b"][: rng.randint(1, 2)]
+    attrs, vals = ("f", "g"), ("u", "v")
+
+    def path(shortest: int, longest: int) -> tuple[str, ...]:
+        return tuple(rng.choice(attrs) for _ in range(rng.randint(shortest, longest)))
+
+    def equation():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return ArrowValEq(rng.choice((UP, DOWN)), path(1, 2), rng.choice(vals))
+        if kind == 1:
+            arrow = rng.choice((UP, DOWN))
+            return ArrowPathEq(arrow, path(1, 2), arrow, ())
+        return ArrowPathEq(rng.choice((UP, DOWN)), path(0, 2), rng.choice((UP, DOWN)), path(0, 2))
+
+    prods = []
+    for _ in range(rng.randint(1, 5)):
+        daughters = tuple(
+            Daughter(rng.choice(nts), frozenset(equation() for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(1, 2))
+        )
+        prods.append(UProduction(rng.choice(nts), daughters))
+    lex = []
+    for nt in nts:
+        for _ in range(rng.randint(0, 2)):
+            schema = frozenset(ArrowValEq(UP, path(1, 2), rng.choice(vals)) for _ in range(rng.randint(0, 2)))
+            lex.append(LexRule(nt, rng.choice(terms + terms + [""]), schema))
+    if not lex:
+        lex.append(LexRule(nts[0], terms[0], frozenset()))
+    return SimpleUnificationGrammar(tuple(nts), tuple(terms), attrs, vals, tuple(prods), tuple(lex), nts[0])
 
 
 # --------------------------------------------------------------------------

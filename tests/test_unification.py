@@ -7,10 +7,15 @@ The demand-string fixpoint is cross-checked against the reference semantics
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glab
 from glab import (
     ArrowPathEq,
     ArrowValEq,
@@ -780,3 +785,30 @@ def test_fuzzed_reduced_grammars_pass_their_own_checks():
         g = rand_reduced_ugi(rng)
         report = ugi_check(g)
         assert report.is_ugi and report.is_reduced
+
+
+# --------------------------------------------------------------------------
+# Printing
+
+_PRINT_WITNESSES = """
+from pathlib import Path
+from glab import parse_unification_grammar, sug_membership, ugi_membership
+
+fixtures = Path(%r)
+g = parse_unification_grammar((fixtures / "example2_u.ugr").read_text())
+print(ugi_membership(g, "dddd").witness)
+g = parse_unification_grammar((fixtures / "agreement.ugr").read_text())
+print(repr(sug_membership(g, "these dogs").witness.domain))
+"""
+
+
+def test_cstructures_print_the_same_under_every_hash_seed():
+    src = Path(glab.__file__).resolve().parents[1]
+    code = _PRINT_WITNESSES % str(src.parent / "fixtures")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert "TreeAddress(digits=(1, 1, 1, 1, 1, 1, 1, 1))" in outputs[0]
+    assert outputs[0] == outputs[1]
