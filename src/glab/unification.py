@@ -297,11 +297,12 @@ class SimpleUnificationGrammar:
         return _classify(self)
 
     @cached_property
-    def _rooted_rules(self) -> tuple[tuple[tuple[frozenset[Equation], tuple[TreeAddress, ...]], ...], tuple[Rooted | None, ...]]:
+    def _rooted_rules(self) -> tuple[tuple[tuple[frozenset[Equation], tuple[TreeAddress, ...]], ...], tuple]:
         """What the reference engine's rooted structures need of the rules:
         per production its schemata instantiated with up as ROOT and the
         k-th daughter as ROOT.child(k), with the daughters' addresses; per
-        lexicon rule, whose one daughter is a leaf, its rooted structure."""
+        lexicon rule, whose one daughter is a leaf, its rooted structure or
+        None."""
         productions = []
         for p in self.productions:
             names = tuple(ROOT.child(k) for k in range(1, len(p.daughters) + 1))
@@ -372,14 +373,13 @@ class CStructure:
     def __repr__(self) -> str:
         # addresses in order and schemata in sorted_schema order, so that the
         # text does not depend on the hash seed
+        def schema(a: TreeAddress) -> str:
+            body = ", ".join(map(repr, sorted_schema(self.eqsets[a])))
+            return f"frozenset({{{body}}})" if body else "frozenset()"
+
         addresses = self.domain.sorted_addresses
         categories = ", ".join(f"{a!r}: {self.categories[a]!r}" for a in addresses)
-        eqsets = ", ".join(
-            f"{a!r}: frozenset({{{', '.join(map(repr, sorted_schema(self.eqsets[a])))}}})" if self.eqsets[a]
-            else f"{a!r}: frozenset()"
-            for a in addresses
-            if not a.is_root
-        )
+        eqsets = ", ".join(f"{a!r}: {schema(a)}" for a in addresses if not a.is_root)
         return f"CStructure(domain={self.domain!r}, categories={{{categories}}}, eqsets={{{eqsets}}})"
 
     @property
@@ -647,26 +647,20 @@ class _SizedCsEnumerator:
                 todo.pop()
                 continue
             seq, _, children = n
-            waiting = [c for c, _ in children if c[0] != _LEAF and id(c) not in done]
+            rule = seq[0]
+            if rule >= len(productions):
+                # a lexicon rule over its leaf
+                done[id(n)] = lexicon[rule - len(productions)]
+                todo.pop()
+                continue
+            waiting = [c for c, _ in children if id(c) not in done]
             if waiting:
                 todo.extend(waiting)
                 continue
             todo.pop()
-            rule = seq[0]
-            if rule >= len(productions):
-                done[id(n)] = lexicon[rule - len(productions)]
-                continue
             equations, names = productions[rule]
-            parts = []
-            for (child, _), name in zip(children, names):
-                part = EMPTY_ROOTED if child[0] == _LEAF else done[id(child)]
-                if part is None:
-                    break
-                parts.append((name, part))
-            else:
-                done[id(n)] = solve_rooted(equations, ROOT, parts)
-                continue
-            done[id(n)] = None
+            parts = [done[id(c)] for c, _ in children]
+            done[id(n)] = None if None in parts else solve_rooted(equations, ROOT, zip(names, parts))
         return done[id(node)]
 
     def nodes(self) -> Iterator[tuple]:
