@@ -18,6 +18,7 @@ homomorphically into every model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import GrammarError, PreconditionError
@@ -212,9 +213,10 @@ def _eq_names(e: Equation) -> tuple[TreeAddress, ...]:
 
 
 def _eq_key(e: Equation):
+    # addresses compare as their digits do
     if isinstance(e, PathEq):
-        return (0, e.left_name, e.left_path, e.right_name, e.right_path, "")
-    return (1, e.name, e.path, TreeAddress(), (), e.value)
+        return (0, e.left_name.digits, e.left_path, e.right_name.digits, e.right_path, "")
+    return (1, e.name.digits, e.path, (), (), e.value)
 
 
 def satisfies(m: FeatureStructure, e: Equation) -> bool:
@@ -292,12 +294,14 @@ class _Closure:
     """Union-find over terms with per-class successor maps and value demands.
 
     terms holds the term each class was created for; the inner nodes of a
-    loaded rooted structure are named by no term and hold None.
+    loaded rooted structure are named by no term and hold None.  index maps
+    a name's digits, which hash faster than the address, to the class its
+    root term was created as.
     """
 
     def __init__(self) -> None:
         self.terms: list[Term | None] = []
-        self.index: dict[Term, int] = {}
+        self.index: dict[tuple[int, ...], int] = {}
         self.parent: list[int] = []
         self.succ: list[dict[str, int]] = []
         self.values: list[set[str]] = []
@@ -313,9 +317,9 @@ class _Closure:
     def intern(self, name: TreeAddress, path: Path) -> int:
         """The class of name.path, following the successor maps from the
         class of name and creating a class for every missing step."""
-        cur = self.index.get((name, ()))
+        cur = self.index.get(name.digits)
         if cur is None:
-            cur = self.index[(name, ())] = self._fresh((name, ()))
+            cur = self.index[name.digits] = self._fresh((name, ()))
         for i, a in enumerate(path):
             row = self.succ[self.find(cur)]
             nxt = row.get(a)
@@ -328,7 +332,7 @@ class _Closure:
         """Add a rooted structure as fresh classes, its node 0 as the class
         of name; the name must be new to the closure."""
         base = len(self.parent)
-        self.index[(name, ())] = base
+        self.index[name.digits] = base
         self.terms.append((name, ()))
         self.terms.extend([None] * (len(part) - 1))
         self.parent.extend(range(base, base + len(part)))
@@ -366,7 +370,7 @@ class _Closure:
             self.values[rb] = set()
 
     def roots(self) -> list[int]:
-        return [i for i in range(len(self.parent)) if self.find(i) == i]
+        return [i for i, p in enumerate(self.parent) if p == i]
 
     def well_defined(self) -> bool:
         """Whether every class holds at most one value, no valued class has
@@ -432,8 +436,8 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
     first term of its class.  Every class holds a prefix of a named term, so
     the model is describable by construction.
     """
-    domain = sorted(set(name_domain))
-    domain_set = set(domain)
+    domain_set = set(name_domain)
+    domain = sorted(domain_set, key=attrgetter("digits"))
     eqs = sorted(set(equations), key=_eq_key)
     for e in eqs:
         for n in _eq_names(e):
@@ -459,7 +463,8 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
         if cl.succ[r]
     }
     alpha = {number[r]: next(iter(cl.values[r])) for r in roots if cl.values[r]}
-    names = {n: number[cl.find(cl.index[(n, ())])] for n in domain}
+    # the domain's names were interned first, as classes 0, 1, ...
+    names = {n: number[cl.find(k)] for k, n in enumerate(domain)}
     model = FeatureStructure(tuple(range(len(roots))), delta, alpha, names)
     report = well_defined_check(model)
     if report.atom_with_edge is not None:
@@ -491,9 +496,7 @@ def solve_rooted(
     for name, part in parts:
         cl.load(name, part)
     _close(cl, equations)
-    if not cl.well_defined():
-        return None
-    return cl.project(cl.index[(root, ())])
+    return cl.project(0) if cl.well_defined() else None
 
 
 def _close(cl: _Closure, equations: Iterable[Equation]) -> None:

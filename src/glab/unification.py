@@ -506,7 +506,8 @@ def _size_chart(g: SimpleUnificationGrammar, word: Word, ceiling: int) -> dict[t
     Spans go by length.  Within a span a unary rule, a unit cycle or an
     empty-string daughter can feed a category back into the same span, so
     the productions rerun until no mask grows; masks are bounded by the
-    ceiling, so that ends.
+    ceiling, so that ends.  Without an empty-string lexicon entry no tree
+    spans an empty slice, and empty spans are not visited.
     """
     n = len(word)
     cap = (1 << (ceiling + 1)) - 1
@@ -529,7 +530,7 @@ def _size_chart(g: SimpleUnificationGrammar, word: Word, ceiling: int) -> dict[t
             ends = nxt
         return ends.get(j, 0) << 1 & cap
 
-    for length in range(n + 1):
+    for length in range(0 if any(not r.word for r in g.lexicon) else 1, n + 1):
         for i in range(n - length + 1):
             j = i + length
             if length <= 1:
@@ -733,8 +734,8 @@ def _node_edges(node) -> tuple[dict[TreeAddress, str], list[tuple[Schema, TreeAd
     return categories, edges
 
 
-def _materialize_cs(node) -> CStructure:
-    categories, edges = _node_edges(node)
+def _materialize_cs(categories: dict[TreeAddress, str], edges) -> CStructure:
+    """The CStructure of a node tree, from _node_edges' result."""
     return CStructure(domain_of(categories.keys()), categories, {d: schema for schema, _, d in edges})
 
 
@@ -756,7 +757,7 @@ def enumerate_cstructures(
     w = terminal_word(word, g.terminals, g.single_char_terminals)
     stats = stats if stats is not None else SearchStats()
     for node in _SizedCsEnumerator(g, w, budget, stats).nodes():
-        yield _materialize_cs(node)
+        yield _materialize_cs(*_node_edges(node))
 
 
 def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
@@ -783,7 +784,7 @@ def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
         categories, edges = _node_edges(node)
         result = solve(_equations(edges), categories.keys())
         if isinstance(result, Consistent):
-            return MembershipResult(True, _materialize_cs(node), stats.exhausted, result.model, reasons=tuple(stats.reasons))
+            return MembershipResult(True, _materialize_cs(categories, edges), stats.exhausted, result.model, reasons=tuple(stats.reasons))
     return MembershipResult(False, None, stats.exhausted, reasons=tuple(stats.reasons))
 
 
