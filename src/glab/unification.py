@@ -752,7 +752,9 @@ def enumerate_cstructures(
     consistent; pair with generates_check to decide grammaticality.  Only
     the sizes that the word's context-free backbone (its size chart) admits
     are searched, so a word outside the backbone yields nothing after its
-    chart is built.
+    chart is built.  sug_membership reads the same stream but skips, unbuilt
+    and unsolved, every structure whose rooted feature structure shows it
+    inconsistent; this stream holds them all.
     """
     w = terminal_word(word, g.terminals, g.single_char_terminals)
     stats = stats if stats is not None else SearchStats()
