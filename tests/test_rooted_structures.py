@@ -25,7 +25,7 @@ from glab import (
 )
 from glab.features import EMPTY_ROOTED, PathEq, solve_rooted
 from glab.trees import ROOT, address
-from glab.unification import _equations, _node_edges, _SizedCsEnumerator
+from glab.unification import _LEAF, _equations, _node_edges, _SizedCsEnumerator
 
 from helpers import all_words, rand_arbitrary_sug
 
@@ -53,7 +53,7 @@ def _subtrees(node):
     seen, todo = {}, [node]
     while todo:
         n = todo.pop()
-        if n[0] == "leaf" or id(n) in seen:
+        if n[0] == _LEAF or id(n) in seen:
             continue
         seen[id(n)] = n
         todo.extend(child for child, _ in n[2])
