@@ -23,9 +23,11 @@ definition of each: reduced(rule), Aho's (1968) reduced form, and
 end_marker(rules, start), the dedicated stack-end value that a start symbol
 pushes (a marked index end, or a sink-mapped root).
 
-State discovery is gated by an optimistic minimum-yield bound on truncated
-stacks, which is an exact exclusion; stack-length and state-count caps are
-budget events and set the exhausted flag.
+State discovery is gated first by the least yield length of the state,
+computed from pop summaries (_YieldBound): a state that cannot fit within
+the length bound is excluded, which is not a budget event.  Only then do the
+stack-length and state-count caps apply; they are budget events and set the
+exhausted flag, so max_stack names only a state that could still fit.
 
 Relaxation is semi-naive (Bancilhon & Ramakrishnan 1986): when a rule is
 rerun for a state because some child state gained or improved entries, it
@@ -55,9 +57,6 @@ Word = tuple[str, ...]
 State = tuple[str, Stack]
 
 COPY, PUSH, POP = "copy", "push", "pop"
-
-_TRUNC = "\x00..."
-_TAU = 6
 
 
 class Child(NamedTuple):
@@ -114,108 +113,229 @@ def end_marker(rules: Sequence[Rule], start: str) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# Minimum-yield bound on truncated stacks
+# Exact minimum-yield bound from pop summaries
+
+# A monomial (c, m_0, ..., m_n-1) over the nonterminals N_0 .. N_n-1 stands
+# for c + sum m_i * x_i, where x_i is the least yield of N_i on some stack w;
+# a polynomial, a list of Pareto-minimal monomials, for the least of them.
 
 
-def _push(value: str, stack: Stack) -> Stack:
-    out = (value,) + stack
-    if len(out) - (out[-1] == _TRUNC) > _TAU:
-        return out[:_TAU] + (_TRUNC,)
-    return out
+def _minimal(monos: list) -> list[tuple[int, ...]]:
+    """The Pareto-minimal monomials.  A monomial that dominates another
+    precedes it in tuple order, so one pass in sorted order keeps them."""
+    if len(monos) < 2:
+        return monos
+    kept: list[tuple[int, ...]] = []
+    for m in sorted(set(monos)):
+        if not any(all(map(operator.le, k, m)) for k in kept):
+            kept.append(m)
+    return kept
 
 
-def _pop(stack: Stack, value: str) -> Stack | None:
-    """The stack below value, or None when another value is on top.  An empty
-    stack stays empty, and the truncation marker matches every value."""
-    if not stack or stack[0] == _TRUNC:
-        return stack
-    return stack[1:] if stack[0] == value else None
+def _times(p: list, q: list, cap: int) -> list:
+    """The product of two polynomials: every sum of a monomial of each."""
+    return _minimal([tuple([s if s < cap else cap for s in map(operator.add, a, b)]) for a in p for b in q])
 
 
-class _MinYield:
-    """Optimistic lower bound on the yield length reachable from a state.
+class _YieldBound:
+    """The least yield length from a state (A, stack), capped at maxlen + 1.
 
-    Stacks are abstracted to their first _TAU entries plus a truncation
-    marker; a pop on the marker optimistically matches every value.  The
-    least fixpoint is computed by worklist relaxation, so the bound is exact
-    on the abstract system and a true lower bound on the concrete one.
+    The least yield does not depend on leaf order, so it is a property of
+    the alternating pushdown system whose control states are the
+    nonterminals and whose stack is the index stack, and it is computed
+    exactly, as in pre* saturation over the tropical semiring (Bouajjani,
+    Esparza & Maler 1997; Reps, Schwoon, Jha & Melski 2005).  It is Aho's
+    (1968) emptiness test with a length budget.
+
+    The pop summary of (A, u) is a polynomial P with least yield of
+    (A, u w) = P(x) for every w, where x_B is the least yield of (B, w):
+    the part of a derivation above the nodes that first see w alone costs c
+    terminals and leaves m_B subderivations from (B, w).  Summaries are
+    saturated once by Kleene iteration, with costs and multiplicities capped
+    at maxlen + 1.  On u w, a COPY child B reads the summary of (B, u); a
+    PUSH t child B reads that of (B, t) with every B' in it replaced by the
+    summary of (B', u); a POP v child is the monomial x_B when v = u and dead
+    otherwise; a rule guarded by u reads w itself.
+
+    On the empty stack a guard is dead and a pop below the root is a demand
+    that any value meets, as in Fixpoint.  Fixpoint also makes the demands
+    of siblings agree, which the bound does not check: where they clash it
+    is a lower bound.  The vector of least yields on the empty stack comes
+    from Kleene iteration, and the vector of a stack u w, its class, is the
+    summaries of u evaluated at the class of w.  Classes are interned and
+    memoised by stack and by (value, class).
+
+    A guarded rule with a POP child would read below w, and no compiled
+    grammar has one: indexed rules have no POP children, and stack-form
+    rules have no guard.
     """
 
-    def __init__(self, rules: Sequence[Rule], by_mother: dict[str, list[int]], cap: int):
-        self.rules = rules
-        self.by_mother = by_mother
-        self.cap = cap  # saturation value: maxlen + 1
-        self.value: dict[State, int] = {}
-        self.deps: dict[State, set[State]] = {}
-
-    def _successors(self, state: State):
-        sym, stack = state
-        for ri in self.by_mother.get(sym, ()):
-            rule = self.rules[ri]
-            base: Stack | None = stack
-            if rule.guard is not None:
-                base = _pop(stack, rule.guard) if stack else None
-                if base is None:
-                    continue
-            children: list[State] = []
+    def __init__(self, rules: Sequence[Rule], cap: int):
+        self.cap = cap
+        index: dict[str, int] = {}
+        for r in rules:
+            index.setdefault(r.mother, len(index))
+            for c in r.children:
+                if c.op is not None:
+                    index.setdefault(c.symbol, len(index))
+        self.index = index
+        n = len(index)
+        zero = (0,) * n
+        one = [(0,) + zero]  # the polynomial 0, a unit of the product
+        # only pushed values reach a stack
+        values = list(dict.fromkeys(c.value for r in rules for c in r.children if c.op == PUSH))
+        # the monomial x_b, one subderivation from (b, w)
+        exits = [[zero[:b] + (0, 1) + zero[b + 1 :]] for b in range(n)]
+        # per summary (mother, top value), the rules that apply: terminal
+        # count and, per nonterminal child, the summary it reads or how it
+        # reads one; and per summary, the summaries that read it
+        uses: dict[tuple[int, str], list] = {}
+        readers: dict[tuple[int, str], dict] = {(a, u): {} for a in range(n) for u in values}
+        free = []  # the unguarded rules, which apply on the empty stack
+        for r in rules:
             terminals = 0
-            for c in rule.children:
-                if c.op is None:
-                    terminals += bool(c.symbol)
-                    continue
-                if c.op == COPY:
-                    cstack: Stack | None = base
-                elif c.op == PUSH:
-                    cstack = _push(c.value, base)
-                else:
-                    cstack = _pop(base, c.value)
-                    if cstack is None:
+            children = []
+            for c in r.children:
+                if c.op is not None:
+                    children.append((c.op, c.value, index[c.symbol]))
+                elif c.symbol:
+                    terminals += 1
+            const = (min(terminals, cap),) + zero
+            a = index[r.mother]
+            if r.guard is None:
+                free.append((a, const[0], children))
+                for u in values:
+                    if any(op == POP and value != u for op, value, _ in children):
+                        continue
+                    key = (a, u)
+                    parts = []
+                    for op, value, b in children:
+                        if op == COPY:
+                            parts.append((b, u))
+                            readers[b, u][key] = None
+                        elif op == PUSH:
+                            parts.append((b, value, u))
+                            readers[b, value][key] = None
+                            for b2 in range(n):
+                                readers[b2, u][key] = None
+                        else:
+                            parts.append(exits[b])
+                    uses.setdefault(key, []).append((const, parts))
+            elif any(op == POP for op, _, _ in children):
+                raise GrammarError("a guarded rule with a popping child has no pop summary")
+            elif r.guard in values:
+                # the children see the stack below the guard
+                key = (a, r.guard)
+                parts = []
+                for op, value, b in children:
+                    if op == COPY:
+                        parts.append(exits[b])
+                    else:
+                        parts.append((b, value))
+                        readers[b, value][key] = None
+                uses.setdefault(key, []).append((const, parts))
+        summary: dict[tuple[int, str], list] = dict.fromkeys(readers, [])
+
+        def substitute(p: list, u: str) -> list:
+            """p with every x_b replaced by the summary of (b, u)."""
+            out: list = []
+            for mono in p:
+                acc = [(mono[0],) + zero]
+                for b in range(n):
+                    k = mono[b + 1]
+                    if k and acc:
+                        # k subderivations from one state all do best with
+                        # one and the same monomial
+                        got = summary[b, u]
+                        if k > 1:
+                            got = [tuple([k * x if k * x < cap else cap for x in m]) for m in got]
+                        acc = _times(acc, got, cap)
+                out += acc
+            return out
+
+        todo = deque(uses)
+        queued = set(uses)
+        while todo:
+            key = todo.popleft()
+            queued.discard(key)
+            old = summary[key]
+            fresh = []
+            for const, parts in uses[key]:
+                acc = [const]
+                for part in parts:
+                    # a summary, a summary to substitute into, or a constant
+                    if type(part) is tuple:
+                        part = summary[part] if len(part) == 2 else substitute(summary[part[:2]], part[2])
+                    if not part:
                         break
-                children.append((c.symbol, cstack))
-            else:
-                yield children, terminals
+                    acc = part if acc == one else _times(acc, part, cap)
+                else:
+                    fresh += [m for m in acc if not any(all(map(operator.le, k, m)) for k in old)] if old else acc
+            if fresh:
+                summary[key] = _minimal(old + fresh)
+                for reader in readers[key]:
+                    if reader not in queued:
+                        queued.add(reader)
+                        todo.append(reader)
+        self.summary = summary
+
+        # least yields on the empty stack
+        empty = [cap] * n
+        changed = True
+        while changed:
+            changed = False
+            for mother, terminals, children in free:
+                total = terminals
+                for op, value, b in children:
+                    total += self._evaluate(summary[b, value], empty) if op == PUSH else empty[b]
+                if total < empty[mother]:
+                    empty[mother] = total
+                    changed = True
+        self.classes: list[tuple[int, ...]] = []
+        self._class_ids: dict[tuple[int, ...], int] = {}
+        self._by_value: dict[tuple[str, int], int] = {}
+        self._by_stack: dict[Stack, int] = {(): self._intern(tuple(empty))}
+
+    def _intern(self, vec: tuple[int, ...]) -> int:
+        got = self._class_ids.get(vec)
+        if got is None:
+            got = self._class_ids[vec] = len(self.classes)
+            self.classes.append(vec)
+        return got
+
+    def _evaluate(self, poly: list, x) -> int:
+        """The least value of poly at x, capped."""
+        best = self.cap
+        for c, *m in poly:
+            for k, v in zip(m, x):
+                if k:
+                    c += k * v
+            if c < best:
+                best = c
+        return best
+
+    def _on_top(self, value: str, cls: int) -> int:
+        key = (value, cls)
+        got = self._by_value.get(key)
+        if got is None:
+            x = self.classes[cls]
+            vec = tuple(self._evaluate(self.summary[a, value], x) for a in range(len(x)))
+            got = self._by_value[key] = self._intern(vec)
+        return got
 
     def bound(self, sym: str, stack: Stack) -> int:
-        state = (sym, stack[:_TAU] + (_TRUNC,)) if len(stack) > _TAU else (sym, stack)
-        if state in self.value:
-            return self.value[state]
-        # discover the abstract closure from this state, then relax to fixpoint
-        new = [state]
-        succ_cache: dict = {}
-        while new:
-            s = new.pop()
-            if s in self.value:
-                continue
-            self.value[s] = self.cap
-            succ_cache[s] = list(self._successors(s))
-            for children, _ in succ_cache[s]:
-                for c in children:
-                    self.deps.setdefault(c, set()).add(s)
-                    if c not in self.value:
-                        new.append(c)
-        # states found by earlier calls have only children found then, so
-        # their values are final and only the states found here can improve
-        work = list(succ_cache)
-        in_work = set(work)
-        while work:
-            s = work.pop()
-            in_work.discard(s)
-            best = self.value[s]
-            for children, terminals in succ_cache[s]:
-                total = terminals
-                for c in children:
-                    total += self.value.get(c, self.cap)
-                    if total >= best:
-                        break
-                if total < best:
-                    best = total
-            if best < self.value[s]:
-                self.value[s] = best
-                for parent in self.deps.get(s, ()):
-                    if parent not in in_work:
-                        work.append(parent)
-                        in_work.add(parent)
-        return self.value[state]
+        by_stack = self._by_stack
+        cls = by_stack.get(stack)
+        if cls is None:
+            above = []
+            while stack not in by_stack:
+                above.append(stack)
+                stack = stack[1:]
+            cls = by_stack[stack]
+            for s in reversed(above):
+                cls = by_stack[s] = self._on_top(s[0], cls)
+        i = self.index.get(sym)
+        return self.cap if i is None else self.classes[cls][i]
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +375,7 @@ class Fixpoint:
         self.maxlen = maxlen
         self.budget = budget
         self.stats = SearchStats()
-        self.oracle = _MinYield(rules, self.by_mother, maxlen + 1)
+        self.oracle = _YieldBound(rules, maxlen + 1)
         self.entries: dict[State, dict[tuple[Word, Stack], tuple]] = {}
         # jobs (state, rule number) to rerun when a state's entries change,
         # in the order they first read it
@@ -271,11 +391,11 @@ class Fixpoint:
         if state in self.entries:
             return True
         sym, stack = state
+        if self.oracle.bound(sym, stack) > self.maxlen:
+            return False  # exact exclusion, not a budget event
         if len(stack) > self._stack_cap:
             self.stats.mark_exhausted("max_stack")
             return False
-        if self.oracle.bound(sym, stack) > self.maxlen:
-            return False  # exact exclusion, not a budget event
         if len(self.entries) >= self.budget.max_states:
             self.stats.mark_exhausted("max_states")
             return False

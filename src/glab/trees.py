@@ -28,7 +28,7 @@ class TreeAddress:
     digits: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(d < 1 for d in self.digits):
+        if self.digits and min(self.digits) < 1:
             raise GrammarError(f"tree address digits must be positive: {self.digits}")
 
     def child(self, i: int) -> "TreeAddress":

@@ -29,3 +29,26 @@ def test_compare_reports_changed_fields_and_missing_answers(tmp_path, capsys):
     ]
     c = _write(tmp_path / "c", [{"id": "q1", "member": True, "steps": 4}, {"id": "q2", "member": False}])
     assert differential.compare(a, c, {"steps"}) == 0
+
+
+def test_questions_cover_both_engines_once_each():
+    ids = [qid for qid, _, _ in differential.questions()]
+    assert len(ids) == len(set(ids))
+    corpora = {qid.split("/")[0] for qid in ids}
+    for name in ("sweep1", "arbitrary", "fuzz", "deep1", "deep2", "deep3", "acceptance4", "acceptance7"):
+        assert name in corpora
+    assert sum(qid.startswith("acceptance7/") for qid in ids) == 300
+    assert sum(qid.startswith("fuzz/") for qid in ids) == 200
+
+
+def test_stack_engine_answers_carry_the_search_counters():
+    ex1 = differential._fixture("example1.ixg")
+    lang = differential._stack_language(ex1, 9, differential.STACK_FIXTURE_BUDGETS["default"])
+    assert lang["words"] == [list("abc"), list("aabbcc"), list("aaabbbccc")]
+    assert not lang["exhausted"] and lang["states"] > 0 and lang["steps"] > 0
+    member = differential._stack_membership(ex1, "abc", differential.STACK_FIXTURE_BUDGETS["default"])
+    assert member["member"] and member["model"] is None
+    assert member["witness"] == "eps S [] | 1 S' [f] | 11 A [f] | 111 a | 12 B [f] | 121 b | 13 C [f] | 131 c"
+    ex2u = differential._fixture("example2_u.ugr")
+    member = differential._stack_membership(ex2u, "dd", differential.STACK_FIXTURE_BUDGETS["default"])
+    assert member["member"] and member["model"] is not None and member["reasons"] == []

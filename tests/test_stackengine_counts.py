@@ -120,14 +120,14 @@ def test_fuzz_pool_counts(text, words, counts):
             21,
             Budget(),
             tuple("a" * n + "b" * n + "c" * n for n in range(1, 8)),
-            (0, 110, 555, 98, True, ("max_stack",)),
+            (0, 53, 29, 56, False, ()),
         ),
         (
             "example1.ixg",
             21,
             Budget(max_steps=50),
-            tuple("a" * n + "b" * n + "c" * n for n in range(1, 4)),
-            (0, 51, 52, 52, True, ("max_steps",)),
+            tuple("a" * n + "b" * n + "c" * n for n in range(1, 6)),
+            (0, 51, 29, 53, True, ("max_steps",)),
         ),
         (
             "example2.ixg",

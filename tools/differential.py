@@ -10,8 +10,8 @@ Run it once per source tree (set PYTHONPATH to that tree's `src`), then
 differs in a field not named by --allow, and per question that only one file
 holds, and exits 1 when it printed any.  A summary goes to stderr.
 
-The questions, all to the reference c-structure engine and the language
-sweeps on top of it:
+The questions to the reference c-structure engine and the language sweeps
+on top of it:
 - the reference-sweep corpora of the benchmark for seeds 1-3 (grammars from
   bench/corpora.py, words chosen as bench/workloads.py chooses them):
   sug_language_upto and sug_membership;
@@ -21,6 +21,19 @@ sweeps on top of it:
   sug_language_upto;
 - grammars with arbitrary schemata from tests/helpers.py, every word up to
   length 3: the stream and sug_membership.
+
+The questions to the stack engine, where a language records the words,
+exhausted, reasons and the search's states, steps, improved and skipped, and
+a membership the member, witness, model, exhausted and reasons:
+- the benchmark's fuzz-equiv pool: the language of both sides of each
+  rewrite, as bench/workloads.py runs them;
+- the benchmark's deep-stack corpora for seeds 1-3: indexed_membership and
+  ugi_membership;
+- the corpora of acceptance checks 4 and 7 (tests/test_acceptance.py): the
+  language of each grammar and of its rewrite;
+- fixtures/example1.ixg, example2.ixg and example2_u.ugr under three
+  budgets: languages at several lengths, and the membership of every word
+  up to length 6 (example 1) or 20 (example 2).
 """
 
 from __future__ import annotations
@@ -51,6 +64,12 @@ FIXTURE_BUDGETS = {
 ARBITRARY_SEED = 1995
 ARBITRARY_GRAMMARS = 150
 ARBITRARY_BUDGET = Budget(max_nodes=9, max_trees=200)
+DEEP_SEEDS = (1, 2, 3)
+STACK_FIXTURE_BUDGETS = {
+    "default": glab.DEFAULT_BUDGET,
+    "steps50": Budget(max_steps=50),
+    "stack8": Budget(max_stack=8),
+}
 
 
 def _digest(texts) -> str:
@@ -159,11 +178,133 @@ def _arbitrary_questions():
             yield f"{key}/member", _membership, (g, word, ARBITRARY_BUDGET)
 
 
+def _tree_text(t) -> str:
+    """One entry per node of a derivation tree in address order: address,
+    symbol, and the index stack of an inner node."""
+    rows = []
+    for a in t.domain.sorted_addresses:
+        label = t.labels[a]
+        stack = f" [{' '.join(label.stack)}]" if isinstance(label, glab.NodeLabel) else ""
+        rows.append(f"{a} {label.symbol or '_'}{stack}")
+    return " | ".join(rows)
+
+
+def _stack_membership(g, word, budget) -> dict:
+    indexed = isinstance(g, glab.IndexedGrammar)
+    r = (glab.indexed_membership if indexed else glab.ugi_membership)(g, word, budget)
+    return {
+        "member": r.member,
+        "witness": None if r.witness is None else (_tree_text if indexed else _cs_text)(r.witness),
+        "model": _model_text(r.model) if r.model is not None else None,
+        "exhausted": r.exhausted,
+        "reasons": list(r.reasons),
+    }
+
+
+def _stack_language(g, maxlen, budget) -> dict:
+    """The language as indexed_language_upto and ugi_language_upto compute
+    it, with the work counters of the search."""
+    from glab.stackengine import Fixpoint
+    from glab.unification import _stack_rules
+
+    rules = g.stack_rules if isinstance(g, glab.IndexedGrammar) else _stack_rules(g)
+    fp = Fixpoint(rules, g.start, maxlen, budget).run()
+    r, s = fp.language(), fp.stats
+    return {
+        "words": [list(w) for w in r.words],
+        "exhausted": r.exhausted,
+        "reasons": list(r.reasons),
+        "states": s.states,
+        "steps": s.steps,
+        "improved": s.improved,
+        "skipped": s.skipped,
+    }
+
+
+def _fuzz_pool_questions():
+    from corpora import FUZZ_BUDGET, FUZZ_MAXLEN, fuzz_corpus
+    from workloads import FUZZ_PER_FAMILY, FUZZ_POOL_SEED
+
+    for i, case in enumerate(fuzz_corpus(random.Random(FUZZ_POOL_SEED), FUZZ_PER_FAMILY)):
+        g = case.grammar
+        if case.family == "u":
+            image = glab.u_transform(g)[0]
+        elif case.family == "mark":
+            image = glab.mark_index_end(g)
+        elif case.family == "normalize":
+            image = glab.ugi_normalize(g)
+        else:
+            image = glab.sink_map_root(g)
+        for side, grammar in (("left", g), ("right", image)):
+            yield f"fuzz/{i}/{case.family}/{side}", _stack_language, (grammar, FUZZ_MAXLEN, FUZZ_BUDGET)
+
+
+def _deep_questions(seed: int):
+    from corpora import deep_corpus
+    from workloads import DEEP_D_LENGTHS, DEEP_D_MAX, DEEP_RUNGS, DEEP_STEP
+
+    grammars = {name: _fixture(name) for name in ("example1.ixg", "example2.ixg", "example2_u.ugr")}
+    cases = deep_corpus(random.Random(seed), DEEP_RUNGS, DEEP_STEP, DEEP_D_LENGTHS, DEEP_D_MAX)
+    for k, case in enumerate(cases):
+        yield f"deep{seed}/{k}/{case.fixture}/{len(case.word)}", _stack_membership, (
+            grammars[case.fixture],
+            case.word,
+            glab.DEFAULT_BUDGET,
+        )
+
+
+def _acceptance_questions():
+    from helpers import FUZZ_BUDGET, rand_general_ugi, rand_reduced_marked_indexed, rand_reduced_ugi
+
+    rng = random.Random(40426)
+    for i in range(100):
+        gi = rand_reduced_marked_indexed(rng)
+        for side, g in (("indexed", gi), ("image", glab.u_transform(gi)[0])):
+            yield f"acceptance4/{i}/{side}", _stack_language, (g, 4, FUZZ_BUDGET)
+    rng = random.Random(70726)
+    for family, make, rewrite in (
+        ("mark", rand_reduced_marked_indexed, glab.mark_index_end),
+        ("normalize", rand_general_ugi, glab.ugi_normalize),
+        ("sink", rand_reduced_ugi, glab.sink_map_root),
+    ):
+        for i in range(50):
+            g = make(rng)
+            for side, grammar in (("before", g), ("after", rewrite(g))):
+                yield f"acceptance7/{family}/{i}/{side}", _stack_language, (grammar, 4, FUZZ_BUDGET)
+
+
+def _fixture(name: str):
+    parse = glab.parse_indexed_grammar if name.endswith(".ixg") else glab.parse_unification_grammar
+    return parse((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def _stack_fixture_questions():
+    from helpers import all_words
+
+    for name, lengths, wordlen in (
+        ("example1.ixg", (6, 9, 21, 30), 6),
+        ("example2.ixg", (4, 16, 64), 20),
+        ("example2_u.ugr", (4, 16, 64), 20),
+    ):
+        g = _fixture(name)
+        terminals = g.symbols.terminals if isinstance(g, glab.IndexedGrammar) else g.terminals
+        for label, budget in STACK_FIXTURE_BUDGETS.items():
+            for maxlen in lengths:
+                yield f"{name}/{label}/language/{maxlen}", _stack_language, (g, maxlen, budget)
+            for word in all_words(terminals, wordlen):
+                yield f"{name}/{label}/{_word_id(g, word)}/member", _stack_membership, (g, word, budget)
+
+
 def questions():
     for seed in SWEEP_SEEDS:
         yield from _sweep_questions(seed)
     yield from _fixture_questions()
     yield from _arbitrary_questions()
+    yield from _fuzz_pool_questions()
+    for seed in DEEP_SEEDS:
+        yield from _deep_questions(seed)
+    yield from _acceptance_questions()
+    yield from _stack_fixture_questions()
 
 
 def record(out: Path) -> int:
