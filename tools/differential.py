@@ -53,6 +53,8 @@ sys.path.extend(str(ROOT_DIR / d) for d in ("src", "bench", "tests"))
 
 import glab  # noqa: E402
 from glab import Budget, SearchStats, format_schema  # noqa: E402
+from glab.stackengine import Fixpoint  # noqa: E402
+from glab.unification import _stack_rules  # noqa: E402
 
 SWEEP_SEEDS = (1, 2, 3)
 FIXTURE_BUDGETS = {
@@ -89,6 +91,11 @@ def _model_text(m) -> str:
     delta = sorted((q, sorted(edges.items())) for q, edges in m.delta.items())
     names = sorted((str(a), q) for a, q in m.names.items())
     return repr((m.nodes, delta, sorted(m.alpha.items()), names))
+
+
+def _fixture(name: str):
+    parse = glab.parse_indexed_grammar if name.endswith(".ixg") else glab.parse_unification_grammar
+    return parse((FIXTURES / name).read_text(encoding="utf-8"))
 
 
 def _word_id(g, word) -> str:
@@ -132,7 +139,7 @@ def _sweep_questions(seed: int):
 
     rng = random.Random(seed)
     fixture = AgreementGrammar(
-        glab.parse_unification_grammar((FIXTURES / "agreement.ugr").read_text(encoding="utf-8")),
+        _fixture("agreement.ugr"),
         *fixture_agreement(),
     )
     grammars = [fixture] + agreement_grammars(rng, SWEEP_GRAMMARS, SWEEP_MAXLEN)
@@ -156,7 +163,7 @@ def _sweep_questions(seed: int):
 
 def _fixture_questions():
     for name in ("agreement.ugr", "example2_u.ugr"):
-        g = glab.parse_unification_grammar((FIXTURES / name).read_text(encoding="utf-8"))
+        g = _fixture(name)
         for label, budget in FIXTURE_BUDGETS.items():
             yield f"{name}/{label}/language/3", _language, (g, 3, budget)
             for n in range(4):
@@ -204,9 +211,6 @@ def _stack_membership(g, word, budget) -> dict:
 def _stack_language(g, maxlen, budget) -> dict:
     """The language as indexed_language_upto and ugi_language_upto compute
     it, with the work counters of the search."""
-    from glab.stackengine import Fixpoint
-    from glab.unification import _stack_rules
-
     rules = g.stack_rules if isinstance(g, glab.IndexedGrammar) else _stack_rules(g)
     fp = Fixpoint(rules, g.start, maxlen, budget).run()
     r, s = fp.language(), fp.stats
@@ -271,11 +275,6 @@ def _acceptance_questions():
             g = make(rng)
             for side, grammar in (("before", g), ("after", rewrite(g))):
                 yield f"acceptance7/{family}/{i}/{side}", _stack_language, (grammar, 4, FUZZ_BUDGET)
-
-
-def _fixture(name: str):
-    parse = glab.parse_indexed_grammar if name.endswith(".ixg") else glab.parse_unification_grammar
-    return parse((FIXTURES / name).read_text(encoding="utf-8"))
 
 
 def _stack_fixture_questions():
