@@ -93,10 +93,13 @@ class MembershipResult:
     """Every decider's answer: when member is True a minimal witness tree (a
     DerivationTree, or a CStructure with its least model), and whether a cap
     cut the search short, so that a "no" may mean "not within budget";
-    reasons names the caps that did, as in LanguageResult."""
+    reasons names the caps that did, as in LanguageResult.  stats holds the
+    work counters of the search that answered; it takes no part in
+    equality, so equal answers compare equal whatever they cost."""
 
     member: bool
     witness: DerivationTree | CStructure | None
     exhausted: bool
     model: FeatureStructure | None = None
     reasons: tuple[str, ...] = ()
+    stats: SearchStats | None = field(default=None, compare=False)

@@ -531,12 +531,12 @@ def indexed_membership(g: IndexedGrammar, w: Word | str, budget: Budget = DEFAUL
     """Decide whether w has a derivation within budget; on success return a
     minimal-node witness tree (ties broken by production-index sequence)."""
     word = terminal_word(w, g.symbols.terminal_set, g.single_char_terminals)
-    fp = Fixpoint(g.stack_rules, g.start, len(word), budget).run()
+    fp = Fixpoint(g.stack_rules, g.start, len(word), budget, word).run()
     walk = fp.witness(word)
     if walk is None:
-        return MembershipResult(False, None, fp.stats.exhausted, reasons=tuple(fp.stats.reasons))
+        return MembershipResult(False, None, fp.stats.exhausted, reasons=tuple(fp.stats.reasons), stats=fp.stats)
     witness = tree_of({a: LeafLabel(item) if isinstance(item, str) else NodeLabel(*item) for a, _, item in walk})
     report = validate_derivation_tree(g, witness)
     if not report.ok:  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness failed validation: {report.first_error}")
-    return MembershipResult(True, witness, fp.stats.exhausted, reasons=tuple(fp.stats.reasons))
+    return MembershipResult(True, witness, fp.stats.exhausted, reasons=tuple(fp.stats.reasons), stats=fp.stats)

@@ -29,6 +29,18 @@ the length bound is excluded, which is not a budget event.  Only then do the
 stack-length and state-count caps apply; they are budget events and set the
 exhausted flag, so max_stack names only a state that could still fit.
 
+A membership run is given the word and keeps only what can take part in a
+witness of it, as deductive parsers keep only the items of a proof over
+their input (Shieber, Schabes & Pereira 1995): the subtrees of a witness
+yield factors of the word, so a combination is stored only if its yield is
+a factor (_Factors, memoised per yield); a rule with a leaf the word lacks
+is left out, also from the yield bound; and a rule whose children's least
+yields sum to more than len(word) is not run, so its children are not
+discovered.  Every key a membership run keeps has the least (cost, rule
+sequence) that a language run to the same length gives it, so answers and
+witnesses agree, but states, steps, improved and skipped are lower, and a
+membership that a cap cut short may complete.
+
 Relaxation is semi-naive (Bancilhon & Ramakrishnan 1986): when a rule is
 rerun for a state because some child state gained or improved entries, it
 joins only the combinations of child entries that hold at least one such
@@ -342,6 +354,24 @@ class _YieldBound:
 # Fixpoint over (yield, demand) entries
 
 
+class _Factors(dict):
+    """Whether a yield over the symbols of word is a factor (a contiguous
+    part) of word, memoised per yield: each symbol is coded as one
+    character, and a yield is a factor when its coded text is a substring
+    of word's."""
+
+    def __init__(self, word: Word):
+        super().__init__()
+        self._code: dict[str, str] = {}
+        for s in word:
+            self._code.setdefault(s, chr(len(self._code)))
+        self._text = "".join(map(self._code.__getitem__, word))
+
+    def __missing__(self, y: Word) -> bool:
+        ok = self[y] = "".join(map(self._code.__getitem__, y)) in self._text
+        return ok
+
+
 def _merge_demand(a: Stack, b: Stack) -> Stack | None:
     if len(a) <= len(b):
         return b if b[: len(a)] == a else None
@@ -363,19 +393,29 @@ class Fixpoint:
     the clock at the start of the job's last complete run.  Every other
     combination was built with the same values then, and the store keeps the
     least (cost, seq), so skipping it changes nothing but the step count.
+
+    Given word, with maxlen = len(word), the run is a membership run: it
+    keeps only entries whose yield is a factor of word.
     """
 
-    def __init__(self, rules: Sequence[Rule], start: str, maxlen: int, budget: Budget):
+    def __init__(self, rules: Sequence[Rule], start: str, maxlen: int, budget: Budget, word: Word | None = None):
         if maxlen < 0:
             raise GrammarError("maxlen must be >= 0")
         self.rules = rules
-        self.by_mother: dict[str, list[int]] = {}
-        for ri, rule in enumerate(rules):
-            self.by_mother.setdefault(rule.mother, []).append(ri)
         self.maxlen = maxlen
         self.budget = budget
+        live = range(len(rules))
+        self.factors = None
+        if word is not None:
+            self.factors = _Factors(word)
+            # a rule with a leaf the word lacks yields no factor of it
+            alphabet = set(word)
+            live = [ri for ri in live if all(c.op or not c.symbol or c.symbol in alphabet for c in rules[ri].children)]
+        self.by_mother: dict[str, list[int]] = {}
+        for ri in live:
+            self.by_mother.setdefault(rules[ri].mother, []).append(ri)
         self.stats = SearchStats()
-        self.oracle = _YieldBound(rules, maxlen + 1)
+        self.oracle = _YieldBound([rules[ri] for ri in live], maxlen + 1)
         self.entries: dict[State, dict[tuple[Word, Stack], tuple]] = {}
         # jobs (state, rule number) to rerun when a state's entries change,
         # in the order they first read it
@@ -404,7 +444,31 @@ class Fixpoint:
         for ri in self.by_mother.get(sym, ()):
             guard = self.rules[ri].guard
             if guard is None or (stack and stack[0] == guard):
-                self._enqueue((state, ri))
+                if self.factors is None or self._fits(ri, stack):
+                    self._enqueue((state, ri))
+        return True
+
+    def _fits(self, ri: int, stack: Stack) -> bool:
+        """Whether the least yields of rule ri's children on stack sum to at
+        most maxlen.  Tested in membership runs only, where a rule that
+        cannot fit need not discover its children."""
+        rule = self.rules[ri]
+        base = stack[1:] if rule.guard is not None else stack
+        bound = self.oracle.bound
+        total = 0
+        for c in rule.children:
+            if c.op is None:
+                total += bool(c.symbol)
+            elif c.op == COPY:
+                total += bound(c.symbol, base)
+            elif c.op == PUSH:
+                total += bound(c.symbol, (c.value,) + base)
+            elif not base or base[0] == c.value:
+                total += bound(c.symbol, base[1:])  # below the root, a demand
+            else:
+                return False
+            if total > self.maxlen:
+                return False
         return True
 
     def _enqueue(self, combo: tuple[State, int]) -> None:
@@ -478,7 +542,7 @@ class Fixpoint:
         joins = [seen[:i] + [n] + every[i + 1 :] for i, n in enumerate(fresh) if n] if counted else [seen]
         store = self.entries[state]
         stats, max_steps = self.stats, self.budget.max_steps
-        maxlen, max_nodes = self.maxlen, self.budget.max_nodes
+        maxlen, max_nodes, factors = self.maxlen, self.budget.max_nodes, self.factors
         changed = False
         for opts in joins:
             # setting up the walk reads every option, so it pays only where
@@ -506,7 +570,7 @@ class Fixpoint:
                 for c in chosen:
                     word += c[0]
                     cost += c[2]
-                if len(word) > maxlen or cost > max_nodes:
+                if len(word) > maxlen or cost > max_nodes or (factors is not None and not factors[word]):
                     continue
                 demand: Stack | None = ()
                 if demands:
@@ -540,12 +604,14 @@ class Fixpoint:
         after it, or whose demand clashes with the demand chosen before it,
         stands for the block of prod(sizes[i + 1:]) combinations that extend
         it; the walk finds the options it may use through indexes by (yield
-        length, demand) and steps over the others without touching them.
+        length, demand) and steps over the others without touching them.  In
+        a membership run, so is an option that makes the yield so far no
+        factor of the word.
         Steps count every combination, built or not, and max_steps cuts the
         run at the same combination as if all were built: the combination at
         index n of the product is step n + 1 of the join.
         """
-        stats, maxlen, max_nodes = self.stats, self.maxlen, self.budget.max_nodes
+        stats, maxlen, max_nodes, factors = self.stats, self.maxlen, self.budget.max_nodes, self.factors
         # the product index of the first combination past max_steps
         cap = self.budget.max_steps - stats.steps
         last = len(opts) - 1
@@ -593,8 +659,11 @@ class Fixpoint:
             for at, word, cost, demand, seq, refs in prefixes:
                 for k in usable(i, room[i] - len(word), demand):
                     o = options[k]
+                    w = word + o[0]
+                    if factors is not None and not factors[w]:
+                        continue  # a block no factor of the word extends
                     d = o[1] if len(o[1]) > len(demand) else demand
-                    grown.append((at * n + k, word + o[0], cost + o[2], d, seq + o[3], refs + (o[4],)))
+                    grown.append((at * n + k, w, cost + o[2], d, seq + o[3], refs + (o[4],)))
             prefixes = grown
         options, n = opts[last], sizes[last]
         built = 0
@@ -609,9 +678,10 @@ class Fixpoint:
                 built += 1
                 o = options[k]
                 c = cost + o[2]
-                if c > max_nodes:
+                w = word + o[0]
+                if c > max_nodes or (factors is not None and not factors[w]):
                     continue
-                key = (word + o[0], o[1] if len(o[1]) > len(demand) else demand)
+                key = (w, o[1] if len(o[1]) > len(demand) else demand)
                 s = seq + o[3]
                 old = store.get(key)
                 if old is None or (c, s) < old[:2]:

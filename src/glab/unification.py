@@ -786,8 +786,9 @@ def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
         categories, edges = _node_edges(node)
         result = solve(_equations(edges), categories.keys())
         if isinstance(result, Consistent):
-            return MembershipResult(True, _materialize_cs(categories, edges), stats.exhausted, result.model, reasons=tuple(stats.reasons))
-    return MembershipResult(False, None, stats.exhausted, reasons=tuple(stats.reasons))
+            witness = _materialize_cs(categories, edges)
+            return MembershipResult(True, witness, stats.exhausted, result.model, reasons=tuple(stats.reasons), stats=stats)
+    return MembershipResult(False, None, stats.exhausted, reasons=tuple(stats.reasons), stats=stats)
 
 
 # --------------------------------------------------------------------------
@@ -1134,10 +1135,10 @@ def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     """Fixpoint membership with a minimal consistent witness c-structure."""
     rules = _stack_rules(g)
     word = terminal_word(w, g.terminals, g.single_char_terminals)
-    fp = Fixpoint(rules, g.start, len(word), budget).run()
+    fp = Fixpoint(rules, g.start, len(word), budget, word).run()
     walk = fp.witness(word)
     if walk is None:
-        return MembershipResult(False, None, fp.stats.exhausted, reasons=tuple(fp.stats.reasons))
+        return MembershipResult(False, None, fp.stats.exhausted, reasons=tuple(fp.stats.reasons), stats=fp.stats)
     categories = {a: item if isinstance(item, str) else item[0] for a, _, item in walk}
     eqsets = {a: _slot_schema(g, slot) for a, slot, _ in walk if slot is not None}
     witness = CStructure(domain_of(categories.keys()), categories, eqsets)
@@ -1147,7 +1148,7 @@ def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
     result = generates_check(witness)
     if not isinstance(result, Consistent):  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness is inconsistent: {result.diagnosis}")
-    return MembershipResult(True, witness, fp.stats.exhausted, result.model, reasons=tuple(fp.stats.reasons))
+    return MembershipResult(True, witness, fp.stats.exhausted, result.model, reasons=tuple(fp.stats.reasons), stats=fp.stats)
 
 
 def sug_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:

@@ -35,8 +35,9 @@ def test_questions_cover_both_engines_once_each():
     ids = [qid for qid, _, _ in differential.questions()]
     assert len(ids) == len(set(ids))
     corpora = {qid.split("/")[0] for qid in ids}
-    for name in ("sweep1", "arbitrary", "fuzz", "deep1", "deep2", "deep3", "acceptance4", "acceptance7"):
+    for name in ("sweep1", "arbitrary", "fuzz", "deep1", "deep2", "deep3", "acceptance4", "acceptance7", "random"):
         assert name in corpora
+    assert {qid.split("/")[1] for qid in ids if qid.startswith("random/")} == {"general", "clash", "marked"}
     assert sum(qid.startswith("acceptance7/") for qid in ids) == 300
     assert sum(qid.startswith("fuzz/") for qid in ids) == 200
 
@@ -52,3 +53,7 @@ def test_stack_engine_answers_carry_the_search_counters():
     ex2u = differential._fixture("example2_u.ugr")
     member = differential._stack_membership(ex2u, "dd", differential.STACK_FIXTURE_BUDGETS["default"])
     assert member["member"] and member["model"] is not None and member["reasons"] == []
+    # a membership records the counters of its search
+    assert member["states"] > 0 and member["improved"] > 0 and {"steps", "skipped"} <= member.keys()
+    member = differential._membership(ex2u, "dd", differential.STACK_FIXTURE_BUDGETS["default"])
+    assert member["member"] and member["steps"] > 0

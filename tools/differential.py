@@ -22,6 +22,9 @@ on top of it:
 - grammars with arbitrary schemata from tests/helpers.py, every word up to
   length 3: the stream and sug_membership.
 
+A membership also records the states, steps, improved and skipped of its
+search when its result carries stats, and leaves them out when it does not.
+
 The questions to the stack engine, where a language records the words,
 exhausted, reasons and the search's states, steps, improved and skipped, and
 a membership the member, witness, model, exhausted and reasons:
@@ -33,7 +36,11 @@ a membership the member, witness, model, exhausted and reasons:
   language of each grammar and of its rewrite;
 - fixtures/example1.ixg, example2.ixg and example2_u.ugr under three
   budgets: languages at several lengths, and the membership of every word
-  up to length 6 (example 1) or 20 (example 2).
+  up to length 6 (example 1) or 20 (example 2);
+- random stack-form grammars from tests/helpers.py under two budgets, the
+  membership of every word up to length 3: 40 rand_general_ugi grammars,
+  20 more with sibling daughters that pop different values, so that their
+  demands below the root clash, and 40 rand_reduced_marked_indexed ones.
 """
 
 from __future__ import annotations
@@ -72,6 +79,8 @@ STACK_FIXTURE_BUDGETS = {
     "steps50": Budget(max_steps=50),
     "stack8": Budget(max_stack=8),
 }
+RANDOM_STACK_SEED = 1305
+RANDOM_STACK_GRAMMARS = 40
 
 
 def _digest(texts) -> str:
@@ -102,6 +111,15 @@ def _word_id(g, word) -> str:
     return g.render_word(tuple(word)) or "_"
 
 
+def _counts(r) -> dict:
+    """The work counters of a membership's search, when its result has
+    them."""
+    s = getattr(r, "stats", None)
+    if s is None:
+        return {}
+    return {"states": s.states, "steps": s.steps, "improved": s.improved, "skipped": s.skipped}
+
+
 def _membership(g, word, budget) -> dict:
     r = glab.sug_membership(g, word, budget)
     return {
@@ -110,6 +128,7 @@ def _membership(g, word, budget) -> dict:
         "model": _model_text(r.model) if r.model is not None else None,
         "exhausted": r.exhausted,
         "reasons": list(r.reasons),
+        **_counts(r),
     }
 
 
@@ -205,6 +224,7 @@ def _stack_membership(g, word, budget) -> dict:
         "model": _model_text(r.model) if r.model is not None else None,
         "exhausted": r.exhausted,
         "reasons": list(r.reasons),
+        **_counts(r),
     }
 
 
@@ -294,6 +314,29 @@ def _stack_fixture_questions():
                 yield f"{name}/{label}/{_word_id(g, word)}/member", _stack_membership, (g, word, budget)
 
 
+def _clashes(g) -> bool:
+    """Whether a rule of g has daughters that pop different values."""
+    return any(len({c.value for c in r.children if c.op == "pop"}) > 1 for r in _stack_rules(g))
+
+
+def _random_stack_questions():
+    from helpers import FUZZ_BUDGET, all_words, rand_general_ugi, rand_reduced_marked_indexed, sample_until
+
+    budgets = {"fuzz": FUZZ_BUDGET, "steps50": Budget(max_steps=50)}
+    rng = random.Random(RANDOM_STACK_SEED)
+    families = {
+        "general": [rand_general_ugi(rng) for _ in range(RANDOM_STACK_GRAMMARS)],
+        "clash": sample_until(lambda: rand_general_ugi(rng), _clashes, RANDOM_STACK_GRAMMARS // 2, 10_000),
+        "marked": [rand_reduced_marked_indexed(rng) for _ in range(RANDOM_STACK_GRAMMARS)],
+    }
+    for family, grammars in families.items():
+        for i, g in enumerate(grammars):
+            terminals = g.symbols.terminals if isinstance(g, glab.IndexedGrammar) else g.terminals
+            for word in all_words(terminals, 3):
+                for label, budget in budgets.items():
+                    yield f"random/{family}/{i}/{label}/{_word_id(g, word)}", _stack_membership, (g, word, budget)
+
+
 def questions():
     for seed in SWEEP_SEEDS:
         yield from _sweep_questions(seed)
@@ -304,6 +347,7 @@ def questions():
         yield from _deep_questions(seed)
     yield from _acceptance_questions()
     yield from _stack_fixture_questions()
+    yield from _random_stack_questions()
 
 
 def record(out: Path) -> int:
