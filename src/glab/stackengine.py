@@ -17,6 +17,18 @@ as prefixes of one another since they constrain the same chain; the root
 accepts any demand because the chain below a free node can always be built.
 Only stack-form rules pop a child, so indexed searches carry no demand.
 
+A shorter demand is the more general description, so an entry is subsumed
+when its state also holds its yield with a proper prefix of its demand at
+no larger (cost, rule sequence): answer subsumption in tabling (Swift &
+Warren 2010), as in Shieber's (1985) subsumption check in chart parsing.
+The shorter demand merges with every sibling demand the longer one merges
+with, to a prefix of that result, and prepends to a prefix too; preorder
+rule sequences are prefix-free, so swapping it in never makes a tree larger
+or later, and no minimal tree uses a subsumed entry.  It is not stored, and
+an entry that a later one subsumes stays stored, so that witnesses still
+resolve, but is joined no more.  So max_demand names only a demand that no
+shorter one covers.
+
 The paper's translations are defined on two shapes, and both are read here
 from the compiled rules, so indexed and stack-form grammars share one
 definition of each: reduced(rule), Aho's (1968) reduced form, and
@@ -372,6 +384,18 @@ class _Factors(dict):
         return ok
 
 
+def _subsumed(store: dict, key: tuple[Word, Stack], cost_seq: tuple) -> bool:
+    """Whether store holds key's yield with a proper prefix of key's demand
+    at a (cost, seq) no larger than cost_seq, which subsumes key's entry
+    (see the module docstring)."""
+    w, d = key
+    for j in range(len(d)):
+        old = store.get((w, d[:j]))
+        if old is not None and old[:2] <= cost_seq:
+            return True
+    return False
+
+
 def _merge_demand(a: Stack, b: Stack) -> Stack | None:
     if len(a) <= len(b):
         return b if b[: len(a)] == a else None
@@ -393,6 +417,12 @@ class Fixpoint:
     the clock at the start of the job's last complete run.  Every other
     combination was built with the same values then, and the store keeps the
     least (cost, seq), so skipping it changes nothing but the step count.
+
+    Entries are subsumed as the module docstring says (_subsumed): the
+    product loop of _process and the last position of _walk store no
+    subsumed combination, and _process reads no subsumed child entry into
+    its options, before the max_demand test, so such an entry neither
+    trips that cap nor costs a step.
 
     Given word, with maxlen = len(word), the run is a membership run: it
     keeps only entries whose yield is a factor of word.
@@ -523,8 +553,11 @@ class Fixpoint:
             self.deps.setdefault(cstate, {})[combo] = None
             opts_seen: list = []
             opts_fresh: list = []
-            for key, (cost, seq, _, stamp) in self.entries[cstate].items():
+            centries = self.entries[cstate]
+            for key, (cost, seq, _, stamp) in centries.items():
                 demand = key[1]
+                if demand and _subsumed(centries, key, (cost, seq)):
+                    continue  # it may have been joined, but need not be again
                 if prepend is not None:
                     demand = (prepend,) + demand
                     if len(demand) > self.budget.max_demand:
@@ -586,6 +619,8 @@ class Fixpoint:
                 key = (word, demand)
                 old = store.get(key)
                 if old is None or (cost, seq) < old[:2]:
+                    if demand and _subsumed(store, key, (cost, seq)):
+                        continue
                     stats.improved += 1
                     store[key] = (cost, seq, tuple(c[4] for c in chosen), stats.improved)
                     changed = True
@@ -685,6 +720,8 @@ class Fixpoint:
                 s = seq + o[3]
                 old = store.get(key)
                 if old is None or (c, s) < old[:2]:
+                    if key[1] and _subsumed(store, key, (c, s)):
+                        continue
                     stats.improved += 1
                     store[key] = (c, s, refs + (o[4],), stats.improved)
                     changed = True

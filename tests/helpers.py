@@ -46,6 +46,8 @@ from glab import (
     sug_language_upto,
 )
 from glab.indexed import terminal_symbols
+from glab.stackengine import POP
+from glab.unification import _stack_rules
 
 FUZZ_BUDGET = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8)
 
@@ -164,6 +166,12 @@ def rand_general_ugi(rng: random.Random) -> SimpleUnificationGrammar:
     return SimpleUnificationGrammar(
         tuple(nts), tuple(terms), ("next", "idx"), tuple(vals), tuple(prods), tuple(lex), nts[0]
     )
+
+
+def clashing_pops(g: SimpleUnificationGrammar) -> bool:
+    """Whether a production of a stack-form grammar has daughters that pop
+    different values, so that their demands below the root can clash."""
+    return any(len({c.value for c in r.children if c.op == POP}) > 1 for r in _stack_rules(g))
 
 
 def rand_arbitrary_sug(rng: random.Random) -> SimpleUnificationGrammar:

@@ -176,8 +176,11 @@ def test_criterion_7_rewrites_preserve_the_bounded_language(capsys):
             gr = rand_reduced_ugi(rng)
             before = sug_language_upto(gr, 4, FUZZ_BUDGET)
             # the sink-mapped spine admits arbitrarily deep pushes, so its
-            # search may honestly report a stack cap; the word sets are still
-            # complete because max_stack exceeds max_demand + 1
+            # search may honestly report a stack cap; the word sets still
+            # agree because a minimal witness joins no subsumed entry, so a
+            # word found before has one whose demand is at most max_demand
+            # long, and its spine after needs at most max_demand + 1 pushes
+            # (the demand and the end marker), which max_stack allows
             after = sug_language_upto(sink_map_root(gr), 4, FUZZ_BUDGET)
             assert set(before.words) == set(after.words), f"sink instance {i}"
 

@@ -35,11 +35,12 @@ def test_questions_cover_both_engines_once_each():
     ids = [qid for qid, _, _ in differential.questions()]
     assert len(ids) == len(set(ids))
     corpora = {qid.split("/")[0] for qid in ids}
-    for name in ("sweep1", "arbitrary", "fuzz", "deep1", "deep2", "deep3", "acceptance4", "acceptance7", "random"):
+    for name in ("sweep1", "arbitrary", "fuzz", "deep1", "deep2", "deep3", "acceptance4", "acceptance7", "random", "steps"):
         assert name in corpora
     assert {qid.split("/")[1] for qid in ids if qid.startswith("random/")} == {"general", "clash", "marked"}
     assert sum(qid.startswith("acceptance7/") for qid in ids) == 300
     assert sum(qid.startswith("fuzz/") for qid in ids) == 200
+    assert sum(qid.startswith("steps/") for qid in ids) == 5 * 29
 
 
 def test_stack_engine_answers_carry_the_search_counters():

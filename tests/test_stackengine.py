@@ -41,7 +41,7 @@ from glab import (
     validate_derivation_tree,
 )
 from glab.indexed import terminal_symbols
-from glab.stackengine import COPY, POP, Child, Fixpoint, Rule
+from glab.stackengine import COPY, POP, PUSH, Child, Fixpoint, Rule
 
 from helpers import all_words
 
@@ -132,19 +132,27 @@ def test_demands_below_the_root_agree_with_the_reference_sweep():
     assert ("a", "a", "a") in reference and ("a", "b") not in reference
 
 
-# A search cut short by max_steps: rules U0 -> U0 U0, two pops below the
-# root and U0 -> a, a grammar of the benchmark's fuzz pool whose root entries
-# changed with the hash seed when jobs were queued in set order.
-_CAPPED_SEARCH = """
-from glab import Budget
-from glab.stackengine import COPY, POP, Child, Fixpoint, Rule
-
-rules = [
-    Rule("U0", None, (Child("U0", COPY), Child("U0", COPY))),
-    Rule("U0", None, (Child("U0", POP, "v1"),)),
-    Rule("U0", None, (Child("U0", POP, "v0"),)),
-    Rule("U0", None, (Child("a"),)),
+# The grammar normalize#49 of the acceptance-7 corpus, before the rewrite:
+# a ternary rule and two binary ones that push, pop below the root and copy,
+# so that its joins are large and most of their combinations over length.
+NORMALIZE49 = [
+    Rule("U1", None, (Child("U1", POP, "v0"),)),
+    Rule("U1", None, (Child("U1", COPY), Child("U0", PUSH, "v0"), Child("U1", POP, "v0"))),
+    Rule("U1", None, (Child("U1", PUSH, "v0"), Child("U1", COPY))),
+    Rule("U0", None, (Child("U1", PUSH, "v0"), Child("U1", PUSH, "v0"))),
+    Rule("U1", None, (Child("U0", POP, "v0"),)),
+    Rule("U0", None, (Child("b"),)),
+    Rule("U1", None, (Child("a"),)),
 ]
+
+# A search cut short by max_steps on it.  Where the cap falls depends on the
+# order of the jobs, so its root entries would change with the hash seed if
+# jobs were queued in set order.
+_CAPPED_SEARCH = f"""
+from glab import Budget
+from glab.stackengine import Child, Fixpoint, Rule
+
+rules = {NORMALIZE49!r}
 budget = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8, max_steps=1000)
 fp = Fixpoint(rules, "U0", 4, budget).run()
 assert "max_steps" in fp.stats.reasons
@@ -203,15 +211,9 @@ def test_stack_form_witness_of_a_deep_word():
 
 
 def test_skipped_combinations_on_a_demand_heavy_grammar():
-    # fuzz-pool grammar sink#31: U0 -> U0 U0, two pops below the root, U0 -> a
-    rules = [
-        Rule("U0", None, (Child("U0", COPY), Child("U0", COPY))),
-        Rule("U0", None, (Child("U0", POP, "v1"),)),
-        Rule("U0", None, (Child("U0", POP, "v0"),)),
-        Rule("U0", None, (Child("a"),)),
-    ]
-    budget = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8)
-    stats = Fixpoint(rules, "U0", 4, budget).run().stats
+    # uncapped, the search steps 787,887 combinations and then trips max_stack
+    budget = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8, max_steps=100_000)
+    stats = Fixpoint(NORMALIZE49, "U0", 4, budget).run().stats
     assert stats.skipped >= 0.9 * stats.steps
     assert stats.steps == budget.max_steps + 1 and "max_steps" in stats.reasons
 

@@ -8,10 +8,12 @@ same steps and adds or improves the same entries in the same order.
 
 The grammars come from the benchmark's fuzz-equiv pool: sink#31 (one
 nonterminal, U0 -> U0 U0 with two pops below the root) and its
-sink_map_root image, normalize#58 and normalize#74, each searched to length
-4 under the fuzz budget; and the two indexed example fixtures.
+sink_map_root image, normalize#58 and normalize#74; and normalize#49 of the
+acceptance-7 corpus, before its rewrite.  Each is searched to length 4
+under the fuzz budget.  Then the two indexed example fixtures.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,25 @@ lex U1 -> _ { }
 """
 
 
+NORMALIZE49 = """\
+nonterminals U0 U1
+terminals a b
+attributes next idx
+values v0
+start U0
+rule U1 -> U1 { up next = dn ; up idx = v0 }
+rule U1 -> U1 { up = dn } U0 { dn next = up ; dn idx = v0 } U1 { up next = dn ; up idx = v0 }
+rule U1 -> U1 { dn next = up ; dn idx = v0 } U1 { up = dn }
+rule U0 -> U1 { dn next = up ; dn idx = v0 } U1 { dn next = up ; dn idx = v0 }
+rule U1 -> U0 { up next = dn ; up idx = v0 }
+lex U0 -> b { }
+lex U1 -> a { }
+"""
+
+
+ALL_AB = tuple("".join(w) for n in range(1, 5) for w in itertools.product("ab", repeat=n))
+
+
 def _run(g, maxlen: int, budget: Budget) -> Fixpoint:
     rules = g.stack_rules if hasattr(g, "stack_rules") else _stack_rules(g)
     return Fixpoint(rules, g.start, maxlen, budget).run()
@@ -99,12 +120,14 @@ def _words(fp: Fixpoint) -> tuple[str, ...]:
 @pytest.mark.parametrize(
     "text, words, counts",
     [
-        (SINK31, ("a", "aa", "aaa", "aaaa"), (0, 2000001, 1, 4307, True, ("max_demand", "max_steps"))),
+        (SINK31, ("a", "aa", "aaa", "aaaa"), (0, 31, 1, 5, False, ())),
         (SINK31_IMAGE, ("a", "aa", "aaa", "aaaa"), (0, 74397, 4000, 20906, True, ("max_states",))),
-        (NORMALIZE58, ("", "bb", "bbbb"), (0, 2000001, 65, 1163, True, ("max_demand", "max_steps"))),
-        (NORMALIZE74, ("",), (0, 619370, 3, 339, True, ("max_demand",))),
+        (NORMALIZE58, ("", "bb", "bbbb"), (0, 1754, 306, 572, True, ("max_stack",))),
+        (NORMALIZE74, ("",), (0, 4, 3, 3, False, ())),
+        # every word up to length 4 but a
+        (NORMALIZE49, tuple(w for w in ALL_AB if w != "a"), (0, 787887, 34, 2036, True, ("max_stack",))),
     ],
-    ids=["sink31", "sink31-image", "normalize58", "normalize74"],
+    ids=["sink31", "sink31-image", "normalize58", "normalize74", "normalize49"],
 )
 def test_fuzz_pool_counts(text, words, counts):
     fp = _run(parse_unification_grammar(text), 4, Budget(**FUZZ_CAPS))
@@ -145,46 +168,65 @@ def test_fixture_counts(fixture, maxlen, budget, words, counts):
     assert _counts(fp) == counts
 
 
-# (max_steps, steps, improved, reasons, root entries) on sink#31's grammar,
-# with the cap at every Fibonacci number up to 317811, so that it falls at
-# many points of its growing joins
-_SWEEP = [
-    (1, 2, 2, ("max_steps",), 2),
-    (2, 3, 3, ("max_steps",), 3),
-    (3, 4, 4, ("max_steps",), 4),
-    (5, 6, 6, ("max_steps",), 6),
-    (8, 9, 9, ("max_steps",), 9),
-    (13, 14, 14, ("max_steps",), 14),
-    (21, 22, 17, ("max_steps",), 16),
-    (34, 35, 18, ("max_steps",), 16),
-    (55, 56, 19, ("max_steps",), 16),
-    (89, 90, 35, ("max_steps",), 32),
-    (144, 145, 53, ("max_steps",), 48),
-    (233, 234, 57, ("max_steps",), 48),
-    (377, 378, 70, ("max_steps",), 48),
-    (610, 611, 72, ("max_steps",), 48),
-    (987, 988, 81, ("max_steps",), 48),
-    (1597, 1598, 87, ("max_steps",), 48),
-    (2584, 2585, 188, ("max_steps",), 132),
-    (4181, 4182, 196, ("max_steps",), 132),
-    (6765, 6766, 212, ("max_steps",), 132),
-    (10946, 10947, 260, ("max_steps",), 132),
-    (17711, 17712, 333, ("max_steps",), 132),
-    (28657, 28658, 629, ("max_steps",), 352),
-    (46368, 46369, 663, ("max_steps",), 352),
-    (75025, 75026, 782, ("max_steps",), 352),
-    (121393, 121394, 978, ("max_steps",), 352),
-    (196418, 196419, 1723, ("max_demand", "max_steps"), 884),
-    (317811, 317812, 1814, ("max_demand", "max_steps"), 884),
+# (max_steps, steps, states, improved, reasons, root entries) with the cap at
+# every Fibonacci number below the steps of the whole search, so that it
+# falls at many points of its growing joins: sink#31 needs 31 steps, and
+# normalize#49 787,887 before it trips max_stack
+_SWEEP_SINK31 = [
+    (1, 2, 1, 2, ("max_steps",), 2),
+    (2, 3, 1, 2, ("max_steps",), 2),
+    (3, 4, 1, 2, ("max_steps",), 2),
+    (5, 6, 1, 2, ("max_steps",), 2),
+    (8, 9, 1, 4, ("max_steps",), 4),
+    (13, 14, 1, 5, ("max_steps",), 4),
+    (21, 22, 1, 5, ("max_steps",), 4),
+]
+_SWEEP_NORMALIZE49 = [
+    (1, 2, 4, 3, ("max_steps",), 1),
+    (2, 3, 4, 5, ("max_steps",), 1),
+    (3, 4, 4, 6, ("max_steps",), 1),
+    (5, 6, 7, 9, ("max_steps",), 2),
+    (8, 9, 8, 12, ("max_steps",), 5),
+    (13, 14, 8, 13, ("max_steps",), 5),
+    (21, 22, 9, 22, ("max_steps",), 5),
+    (34, 35, 10, 37, ("max_steps",), 5),
+    (55, 56, 10, 48, ("max_steps",), 5),
+    (89, 90, 10, 63, ("max_steps",), 5),
+    (144, 145, 10, 78, ("max_steps",), 5),
+    (233, 234, 10, 83, ("max_steps",), 5),
+    (377, 378, 10, 115, ("max_steps",), 5),
+    (610, 611, 10, 158, ("max_steps",), 38),
+    (987, 988, 10, 180, ("max_steps",), 38),
+    (1597, 1598, 10, 182, ("max_steps",), 38),
+    (2584, 2585, 10, 212, ("max_steps",), 38),
+    (4181, 4182, 12, 262, ("max_steps",), 38),
+    (6765, 6766, 12, 340, ("max_steps",), 38),
+    (10946, 10947, 12, 340, ("max_steps",), 38),
+    (17711, 17712, 12, 340, ("max_steps",), 38),
+    (28657, 28658, 12, 340, ("max_steps",), 38),
+    (46368, 46369, 12, 340, ("max_steps",), 38),
+    (75025, 75026, 12, 340, ("max_steps",), 38),
+    (121393, 121394, 14, 554, ("max_steps",), 40),
+    (196418, 196419, 14, 610, ("max_steps",), 40),
+    (317811, 317812, 16, 738, ("max_steps",), 40),
+    (514229, 514230, 26, 1299, ("max_steps",), 40),
 ]
 
 
-def test_max_steps_sweep_on_sink31():
-    g = parse_unification_grammar(SINK31)
+def _sweep(text: str, rows: list) -> list:
+    g = parse_unification_grammar(text)
     got = []
-    for max_steps, *_ in _SWEEP:
+    for max_steps, *_ in rows:
         fp = _run(g, 4, Budget(**FUZZ_CAPS, max_steps=max_steps))
         s = fp.stats
-        assert s.states == 1 and s.exhausted
-        got.append((max_steps, s.steps, s.improved, tuple(s.reasons), len(fp.entries[fp.root])))
-    assert got == _SWEEP
+        assert s.exhausted
+        got.append((max_steps, s.steps, s.states, s.improved, tuple(s.reasons), len(fp.entries[fp.root])))
+    return got
+
+
+def test_max_steps_sweep_on_sink31():
+    assert _sweep(SINK31, _SWEEP_SINK31) == _SWEEP_SINK31
+
+
+def test_max_steps_sweep_on_normalize49():
+    assert _sweep(NORMALIZE49, _SWEEP_NORMALIZE49) == _SWEEP_NORMALIZE49

@@ -676,7 +676,9 @@ def test_sink_map_root_preserves_the_language():
     assert not left.exhausted
     # the spine admits unboundedly deep pushes, so the wrapped search hits
     # the stack cap and honestly says so; the word set is still complete
-    # because a spine deeper than max_demand + 1 can never feed a witness
+    # because the left search is, and its minimal witnesses join no
+    # subsumed entry: their demands are at most max_demand long, so a spine
+    # deeper than max_demand + 1 (the demand and the end marker) feeds none
     assert left.words == right.words == (("a",),)
 
 

@@ -40,7 +40,11 @@ a membership the member, witness, model, exhausted and reasons:
 - random stack-form grammars from tests/helpers.py under two budgets, the
   membership of every word up to length 3: 40 rand_general_ugi grammars,
   20 more with sibling daughters that pop different values, so that their
-  demands below the root clash, and 40 rand_reduced_marked_indexed ones.
+  demands below the root clash, and 40 rand_reduced_marked_indexed ones;
+- max_steps sweeps: the languages of five acceptance-corpus grammars whose
+  searches take tens or hundreds of thousands of steps, again with the step
+  cap at every Fibonacci number up to 832040, so that it falls at many
+  points of their growing joins.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
@@ -81,6 +86,14 @@ STACK_FIXTURE_BUDGETS = {
 }
 RANDOM_STACK_SEED = 1305
 RANDOM_STACK_GRAMMARS = 40
+STEP_SWEEP = (
+    "acceptance4/65/indexed",
+    "acceptance4/65/image",
+    "acceptance7/mark/41/before",
+    "acceptance7/normalize/49/before",
+    "acceptance7/normalize/49/after",
+)
+STEP_SWEEP_LIMIT = 832040
 
 
 def _digest(texts) -> str:
@@ -314,19 +327,21 @@ def _stack_fixture_questions():
                 yield f"{name}/{label}/{_word_id(g, word)}/member", _stack_membership, (g, word, budget)
 
 
-def _clashes(g) -> bool:
-    """Whether a rule of g has daughters that pop different values."""
-    return any(len({c.value for c in r.children if c.op == "pop"}) > 1 for r in _stack_rules(g))
-
-
 def _random_stack_questions():
-    from helpers import FUZZ_BUDGET, all_words, rand_general_ugi, rand_reduced_marked_indexed, sample_until
+    from helpers import (
+        FUZZ_BUDGET,
+        all_words,
+        clashing_pops,
+        rand_general_ugi,
+        rand_reduced_marked_indexed,
+        sample_until,
+    )
 
     budgets = {"fuzz": FUZZ_BUDGET, "steps50": Budget(max_steps=50)}
     rng = random.Random(RANDOM_STACK_SEED)
     families = {
         "general": [rand_general_ugi(rng) for _ in range(RANDOM_STACK_GRAMMARS)],
-        "clash": sample_until(lambda: rand_general_ugi(rng), _clashes, RANDOM_STACK_GRAMMARS // 2, 10_000),
+        "clash": sample_until(lambda: rand_general_ugi(rng), clashing_pops, RANDOM_STACK_GRAMMARS // 2, 10_000),
         "marked": [rand_reduced_marked_indexed(rng) for _ in range(RANDOM_STACK_GRAMMARS)],
     }
     for family, grammars in families.items():
@@ -335,6 +350,16 @@ def _random_stack_questions():
             for word in all_words(terminals, 3):
                 for label, budget in budgets.items():
                     yield f"random/{family}/{i}/{label}/{_word_id(g, word)}", _stack_membership, (g, word, budget)
+
+
+def _step_sweep_questions():
+    caps = [1, 2]
+    while caps[-1] + caps[-2] <= STEP_SWEEP_LIMIT:
+        caps.append(caps[-1] + caps[-2])
+    for qid, ask, (g, maxlen, budget) in _acceptance_questions():
+        if qid in STEP_SWEEP:
+            for cap in caps:
+                yield f"steps/{qid}/{cap}", ask, (g, maxlen, replace(budget, max_steps=cap))
 
 
 def questions():
@@ -348,6 +373,7 @@ def questions():
     yield from _acceptance_questions()
     yield from _stack_fixture_questions()
     yield from _random_stack_questions()
+    yield from _step_sweep_questions()
 
 
 def record(out: Path) -> int:
