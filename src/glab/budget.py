@@ -47,12 +47,12 @@ class SearchStats:
     In the stack engine (glab.stackengine) steps counts the child
     combinations of every join, and the engine is semi-naive: a rule rerun
     for a state joins only the combinations that hold a child entry added or
-    improved since its last run, so max_steps bounds those.  A combination
-    that is over length or whose demands clash counts as a step whether the
-    engine builds it or steps over it; skipped counts the ones it stepped
-    over without building, so steps - skipped were built.  improved counts
-    the entries the engine added or improved, so steps / improved is the
-    number of combinations per useful one.
+    improved since its last run, so max_steps bounds those.  Every
+    combination is built, and one that is over length, over the node cap,
+    no factor of the word or whose demands clash is then dropped, still
+    counted as a step.  improved counts the entries the engine added or
+    improved, so steps / improved is the number of combinations per useful
+    one.
 
     In the reference c-structure engine (glab.unification) steps counts the
     production tries on (category, span, size) keys that the word's size
@@ -64,7 +64,6 @@ class SearchStats:
     steps: int = 0
     states: int = 0
     improved: int = 0
-    skipped: int = 0
     exhausted: bool = False
     reasons: list[str] = field(default_factory=list)
 

@@ -22,13 +22,18 @@ def test_compare_reports_changed_fields_and_missing_answers(tmp_path, capsys):
     assert differential.compare(a, a, set()) == 0
     assert capsys.readouterr().out == ""
     assert differential.compare(a, b, set()) == 1
-    assert capsys.readouterr().out.splitlines() == [
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
         "q1: steps: 3 != 4",
         f"q2: only in {a}",
         f"q3: only in {b}",
     ]
+    assert err.splitlines() == ["compared 3 answers, 3 differ", "steps: 1"]
+    # an allowed field is not printed, but the summary still counts it
     c = _write(tmp_path / "c", [{"id": "q1", "member": True, "steps": 4}, {"id": "q2", "member": False}])
     assert differential.compare(a, c, {"steps"}) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["compared 2 answers, 0 differ", "steps: 1 (allowed)"]
 
 
 def test_questions_cover_both_engines_once_each():
@@ -55,6 +60,6 @@ def test_stack_engine_answers_carry_the_search_counters():
     member = differential._stack_membership(ex2u, "dd", differential.STACK_FIXTURE_BUDGETS["default"])
     assert member["member"] and member["model"] is not None and member["reasons"] == []
     # a membership records the counters of its search
-    assert member["states"] > 0 and member["improved"] > 0 and {"steps", "skipped"} <= member.keys()
+    assert member["states"] > 0 and member["improved"] > 0 and "steps" in member
     member = differential._membership(ex2u, "dd", differential.STACK_FIXTURE_BUDGETS["default"])
     assert member["member"] and member["steps"] > 0

@@ -6,9 +6,9 @@ the rules and states that cannot yield a factor within len(w).  Every kept
 key keeps its least (cost, rule sequence), so a membership run must give the
 same answer and the same minimal witness as a language run at the same
 length: checked here on random indexed and stack-form grammars for every
-word up to length 4, on a grammar whose joins are large enough to be
-walked, on the empty word, and on a word whose proper factors take part in
-no witness of it.  Only the work counters may fall.
+word up to length 4, on a grammar whose joins are large, on the empty word,
+and on a word whose proper factors take part in no witness of it.  Only the
+work counters may fall.
 """
 
 import random
@@ -95,10 +95,11 @@ def test_membership_on_random_grammars_is_capped_only_where_language_is(family):
 
 
 def test_membership_matches_language_on_large_joins():
-    """S -> S S S | S S | a | b: the joins of a membership run are large
-    enough to be walked, stepping over blocks whose prefix yield is no
-    factor of the word.  The step cap is lifted so the language runs, which
-    count the ternary join's millions of combinations, complete."""
+    """S -> S S S | S S | a | b: an ambiguous grammar whose joins are
+    large, and most of whose combinations a membership run drops because
+    their yield is no factor of the word.  The step cap is lifted so that
+    the language runs complete: they build all of the ternary join's
+    millions of combinations and drop those over length."""
     g = IndexedGrammar(
         SymbolTable(("S",), ("a", "b"), ()),
         (Plain("S", ("S", "S", "S")), Plain("S", ("S", "S")), Plain("S", ("a",)), Plain("S", ("b",))),
@@ -111,7 +112,6 @@ def test_membership_matches_language_on_large_joins():
         for word in product("ab", repeat=n):
             mem = Fixpoint(g.stack_rules, g.start, n, budget, word).run()
             assert mem.witness(word) == lang.witness(word), word
-            assert (mem.stats.skipped > 0) == (n > 2)
 
 
 def test_membership_of_the_empty_word():

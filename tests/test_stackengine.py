@@ -205,28 +205,6 @@ def test_stack_form_witness_of_a_deep_word():
     assert validate_cstructure(g, r.witness).ok
 
 
-# Steps count every combination of a join; the ones the engine steps over
-# without building, because they are over length or clash on their demands,
-# are also counted in skipped.
-
-
-def test_skipped_combinations_on_a_demand_heavy_grammar():
-    # uncapped, the search steps 787,887 combinations and then trips max_stack
-    budget = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8, max_steps=100_000)
-    stats = Fixpoint(NORMALIZE49, "U0", 4, budget).run().stats
-    assert stats.skipped >= 0.9 * stats.steps
-    assert stats.steps == budget.max_steps + 1 and "max_steps" in stats.reasons
-
-
-def test_nothing_skipped_where_every_combination_fits():
-    # the minimum-yield bound keeps out every state that cannot fit, and
-    # indexed grammars carry no demands
-    for fixture, maxlen in (("example1.ixg", 9), ("example2.ixg", 64)):
-        g = parse_indexed_grammar((FIXTURES / fixture).read_text())
-        stats = Fixpoint(g.stack_rules, g.start, maxlen, Budget()).run().stats
-        assert stats.steps > 0 and stats.skipped == 0
-
-
 def test_membership_results_name_the_caps():
     ex1 = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
     # the witness of a^30 b^30 c^30 needs a stack of depth 30

@@ -8,7 +8,9 @@ questions and writes one canonical line per answer, keyed by a question id.
 Run it once per source tree (set PYTHONPATH to that tree's `src`), then
 `compare` the two files: it prints one line per question whose answer
 differs in a field not named by --allow, and per question that only one file
-holds, and exits 1 when it printed any.  A summary goes to stderr.
+holds, and exits 1 when it printed any.  A summary goes to stderr: the
+number of answers that differ, and per field, allowed or not, the number of
+answers that differ in it.
 
 The questions to the reference c-structure engine and the language sweeps
 on top of it:
@@ -22,12 +24,12 @@ on top of it:
 - grammars with arbitrary schemata from tests/helpers.py, every word up to
   length 3: the stream and sug_membership.
 
-A membership also records the states, steps, improved and skipped of its
-search when its result carries stats, and leaves them out when it does not.
+A membership also records the states, steps and improved of its search when
+its result carries stats, and leaves them out when it does not.
 
 The questions to the stack engine, where a language records the words,
-exhausted, reasons and the search's states, steps, improved and skipped, and
-a membership the member, witness, model, exhausted and reasons:
+exhausted, reasons and the search's states, steps and improved, and a
+membership the member, witness, model, exhausted and reasons:
 - the benchmark's fuzz-equiv pool: the language of both sides of each
   rewrite, as bench/workloads.py runs them;
 - the benchmark's deep-stack corpora for seeds 1-3: indexed_membership and
@@ -130,7 +132,7 @@ def _counts(r) -> dict:
     s = getattr(r, "stats", None)
     if s is None:
         return {}
-    return {"states": s.states, "steps": s.steps, "improved": s.improved, "skipped": s.skipped}
+    return {"states": s.states, "steps": s.steps, "improved": s.improved}
 
 
 def _membership(g, word, budget) -> dict:
@@ -254,7 +256,6 @@ def _stack_language(g, maxlen, budget) -> dict:
         "states": s.states,
         "steps": s.steps,
         "improved": s.improved,
-        "skipped": s.skipped,
     }
 
 
@@ -398,17 +399,22 @@ def _load(path: Path) -> dict:
 def compare(a: Path, b: Path, allow: set[str]) -> int:
     left, right = _load(a), _load(b)
     differing = 0
+    by_field: dict[str, int] = {}
     for qid in sorted(left.keys() | right.keys()):
         if qid not in right or qid not in left:
             print(f"{qid}: only in {a if qid in left else b}")
             differing += 1
             continue
-        fields = sorted((left[qid].keys() | right[qid].keys()) - allow)
+        fields = sorted(left[qid].keys() | right[qid].keys())
         changed = [f for f in fields if left[qid].get(f) != right[qid].get(f)]
         for f in changed:
-            print(f"{qid}: {f}: {json.dumps(left[qid].get(f))} != {json.dumps(right[qid].get(f))}")
-        differing += bool(changed)
+            by_field[f] = by_field.get(f, 0) + 1
+            if f not in allow:
+                print(f"{qid}: {f}: {json.dumps(left[qid].get(f))} != {json.dumps(right[qid].get(f))}")
+        differing += any(f not in allow for f in changed)
     print(f"compared {len(left.keys() | right.keys())} answers, {differing} differ", file=sys.stderr)
+    for f, n in sorted(by_field.items()):
+        print(f"{f}: {n}{' (allowed)' if f in allow else ''}", file=sys.stderr)
     return 1 if differing else 0
 
 
