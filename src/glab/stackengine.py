@@ -25,9 +25,8 @@ The shorter demand merges with every sibling demand the longer one merges
 with, to a prefix of that result, and prepends to a prefix too; preorder
 rule sequences are prefix-free, so swapping it in never makes a tree larger
 or later, and no minimal tree uses a subsumed entry.  It is not stored, and
-an entry that a later one subsumes stays stored, so that witnesses still
-resolve, but is joined no more.  So max_demand names only a demand that no
-shorter one covers.
+an entry that a later one subsumes stays stored but is joined no more.  So
+max_demand names only a demand that no shorter one covers.
 
 The paper's translations are defined on two shapes, and both are read here
 from the compiled rules, so indexed and stack-form grammars share one
@@ -35,23 +34,24 @@ definition of each: reduced(rule), Aho's (1968) reduced form, and
 end_marker(rules, start), the dedicated stack-end value that a start symbol
 pushes (a marked index end, or a sink-mapped root).
 
-State discovery is gated first by the least yield length of the state,
-computed from pop summaries (_YieldBound): a state that cannot fit within
-the length bound is excluded, which is not a budget event.  Only then do the
-stack-length and state-count caps apply; they are budget events and set the
-exhausted flag, so max_stack names only a state that could still fit.
+A rule is run on a state only if the least yield lengths of its children,
+computed from pop summaries (_YieldBound), sum to at most the length bound
+(Fixpoint._fits), so a state is discovered only if its least yield fits:
+keeping only the facts a proof within the bound can use, as deductive
+parsers keep only the items of a proof over their input (Shieber, Schabes &
+Pereira 1995).  A state deeper than the node cap lies in no tree within it,
+since every push is a node on the path to it.  Both exclusions are exact and
+no budget event; only then do the stack-length and state-count caps apply,
+which set the exhausted flag, so max_stack names only a state that could
+still lie in a witness.
 
-A membership run is given the word and keeps only what can take part in a
-witness of it, as deductive parsers keep only the items of a proof over
-their input (Shieber, Schabes & Pereira 1995): the subtrees of a witness
-yield factors of the word, so a combination is stored only if its yield is
-a factor (_Factors, memoised per yield); a rule with a leaf the word lacks
-is left out, also from the yield bound; and a rule whose children's least
-yields sum to more than len(word) is not run, so its children are not
-discovered.  Every key a membership run keeps has the least (cost, rule
-sequence) that a language run to the same length gives it, so answers and
-witnesses agree, but states, steps and improved are lower, and a membership
-that a cap cut short may complete.
+A membership run is given the word and keeps less: the subtrees of a
+witness yield factors of the word, so a combination is stored only if its
+yield is a factor (_Factors, memoised per yield), and a rule with a leaf the
+word lacks is left out, also from the yield bound.  Every key a membership
+run keeps has the least (cost, rule sequence) that a language run to the
+same length gives it, so answers and witnesses agree, but states, steps and
+improved are lower, and a membership that a cap cut short may complete.
 
 Relaxation is semi-naive (Bancilhon & Ramakrishnan 1986): when a rule is
 rerun for a state because some child state gained or improved entries, it
@@ -177,19 +177,19 @@ class _YieldBound:
     at maxlen + 1.  On u w, a COPY child B reads the summary of (B, u); a
     PUSH t child B reads that of (B, t) with every B' in it replaced by the
     summary of (B', u); a POP v child is the monomial x_B when v = u and dead
-    otherwise; a rule guarded by u reads w itself.
+    otherwise; a rule guarded by u hands its children w itself.
 
     On the empty stack a guard is dead and a pop below the root is a demand
     that any value meets, as in Fixpoint.  Fixpoint also makes the demands
     of siblings agree, which the bound does not check: where they clash it
     is a lower bound.  The vector of least yields on the empty stack comes
-    from Kleene iteration, and the vector of a stack u w, its class, is the
-    summaries of u evaluated at the class of w.  Classes are interned and
-    memoised by stack and by (value, class).
+    from Kleene iteration, and the vector of a stack u w is the summaries
+    of u evaluated at the vector of w, memoised by stack and by (value,
+    vector).
 
-    A guarded rule with a POP child would read below w, and no compiled
-    grammar has one: indexed rules have no POP children, and stack-form
-    rules have no guard.
+    A guarded rule may only copy its stack to its children, as every
+    compiled grammar's does: indexed rules pop only by a guard, and
+    stack-form rules have no guard.  Any other guarded rule is refused.
     """
 
     def __init__(self, rules: Sequence[Rule], cap: int):
@@ -243,19 +243,11 @@ class _YieldBound:
                         else:
                             parts.append(exits[b])
                     uses.setdefault(key, []).append((const, parts))
-            elif any(op == POP for op, _, _ in children):
-                raise GrammarError("a guarded rule with a popping child has no pop summary")
+            elif any(op != COPY for op, _, _ in children):
+                raise GrammarError("a guarded rule may only copy its stack to its children")
             elif r.guard in values:
                 # the children see the stack below the guard
-                key = (a, r.guard)
-                parts = []
-                for op, value, b in children:
-                    if op == COPY:
-                        parts.append(exits[b])
-                    else:
-                        parts.append((b, value))
-                        readers[b, value][key] = None
-                uses.setdefault(key, []).append((const, parts))
+                uses.setdefault((a, r.guard), []).append((const, [exits[b] for _, _, b in children]))
         summary: dict[tuple[int, str], list] = dict.fromkeys(readers, [])
 
         def substitute(p: list, u: str) -> list:
@@ -313,17 +305,8 @@ class _YieldBound:
                 if total < empty[mother]:
                     empty[mother] = total
                     changed = True
-        self.classes: list[tuple[int, ...]] = []
-        self._class_ids: dict[tuple[int, ...], int] = {}
-        self._by_value: dict[tuple[str, int], int] = {}
-        self._by_stack: dict[Stack, int] = {(): self._intern(tuple(empty))}
-
-    def _intern(self, vec: tuple[int, ...]) -> int:
-        got = self._class_ids.get(vec)
-        if got is None:
-            got = self._class_ids[vec] = len(self.classes)
-            self.classes.append(vec)
-        return got
+        self._by_value: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
+        self._by_stack: dict[Stack, tuple[int, ...]] = {(): tuple(empty)}
 
     def _evaluate(self, poly: list, x) -> int:
         """The least value of poly at x, capped."""
@@ -336,28 +319,22 @@ class _YieldBound:
                 best = c
         return best
 
-    def _on_top(self, value: str, cls: int) -> int:
-        key = (value, cls)
-        got = self._by_value.get(key)
-        if got is None:
-            x = self.classes[cls]
-            vec = tuple(self._evaluate(self.summary[a, value], x) for a in range(len(x)))
-            got = self._by_value[key] = self._intern(vec)
-        return got
-
     def bound(self, sym: str, stack: Stack) -> int:
-        by_stack = self._by_stack
-        cls = by_stack.get(stack)
-        if cls is None:
+        by_stack, by_value = self._by_stack, self._by_value
+        vec = by_stack.get(stack)
+        if vec is None:
             above = []
             while stack not in by_stack:
                 above.append(stack)
                 stack = stack[1:]
-            cls = by_stack[stack]
+            vec = by_stack[stack]
             for s in reversed(above):
-                cls = by_stack[s] = self._on_top(s[0], cls)
+                key = (s[0], vec)
+                if key not in by_value:
+                    by_value[key] = tuple(self._evaluate(self.summary[a, s[0]], vec) for a in range(len(vec)))
+                vec = by_stack[s] = by_value[key]
         i = self.index.get(sym)
-        return self.cap if i is None else self.classes[cls][i]
+        return self.cap if i is None else vec[i]
 
 
 # --------------------------------------------------------------------------
@@ -400,19 +377,32 @@ def _merge_demand(a: Stack, b: Stack) -> Stack | None:
     return a if a[: len(b)] == b else None
 
 
+def _child_stack(c: Child, base: Stack) -> tuple[Stack, str | None] | None:
+    """The stack of nonterminal child c of a rule whose children see base,
+    and the value that c's pop below the root demands (else None); None if
+    c pops a value that is not on top."""
+    if c.op == COPY:
+        return base, None
+    if c.op == PUSH:
+        return (c.value,) + base, None
+    if not base:
+        return (), c.value
+    return (base[1:], None) if base[0] == c.value else None
+
+
 class Fixpoint:
     """Per-state yields with minimal witnesses, computed to a least fixpoint.
 
     rules[k] is rule number k of the source grammar.  An entry maps the key
-    (yield, demand) to (cost, seq, refs, stamp): cost counts nodes, seq is
-    the rule sequence in preorder, refs holds per child either its leaf
-    symbol or the (state, key) of the child entry, and stamp is the change
-    clock, stats.improved, when the entry was added or last improved.
+    (yield, demand) to (cost, seq, stamp): cost counts nodes, seq is the
+    rule sequence in preorder, which determines the tree, and stamp is the
+    change clock, stats.improved, when the entry was added or last improved.
 
-    Relaxation is semi-naive.  A job (state, rule number) runs when the
-    state is found and again whenever a child state's entries change; each
-    run joins only the combinations that hold a child entry stamped after
-    the clock at the start of the job's last complete run.  Every other
+    A job (state, rule number) is queued when the state is found, if the
+    rule passes _fits, the one least-yield gate.  Relaxation is semi-naive:
+    a job runs again whenever a child state's entries change, and each run
+    joins only the combinations that hold a child entry stamped after the
+    clock at the start of the job's last complete run.  Every other
     combination was built with the same values then, and the store keeps the
     least (cost, seq), so skipping it changes nothing but the step count.
 
@@ -452,15 +442,14 @@ class Fixpoint:
         self.root: State = (start, ())
         self._pending: deque[tuple[State, int]] = deque()
         self._pending_set: set[tuple[State, int]] = set()
-        self._stack_cap = min(budget.max_stack, budget.max_nodes)
 
     def _discover(self, state: State) -> bool:
         if state in self.entries:
             return True
         sym, stack = state
-        if self.oracle.bound(sym, stack) > self.maxlen:
-            return False  # exact exclusion, not a budget event
-        if len(stack) > self._stack_cap:
+        if len(stack) > self.budget.max_nodes:
+            return False  # every push is a node on the path to it: not a budget event
+        if len(stack) > self.budget.max_stack:
             self.stats.mark_exhausted("max_stack")
             return False
         if len(self.entries) >= self.budget.max_states:
@@ -469,31 +458,28 @@ class Fixpoint:
         self.entries[state] = {}
         self.stats.states += 1
         for ri in self.by_mother.get(sym, ()):
-            guard = self.rules[ri].guard
-            if guard is None or (stack and stack[0] == guard):
-                if self.factors is None or self._fits(ri, stack):
-                    self._enqueue((state, ri))
+            if self._fits(ri, stack):
+                self._enqueue((state, ri))
         return True
 
     def _fits(self, ri: int, stack: Stack) -> bool:
-        """Whether the least yields of rule ri's children on stack sum to at
-        most maxlen.  Tested in membership runs only, where a rule that
-        cannot fit need not discover its children."""
+        """Whether rule ri applies on stack and its children's least yields
+        sum to at most maxlen.  A rule that fails yields nothing within the
+        bound, so it is not run and its children are not discovered."""
         rule = self.rules[ri]
-        base = stack[1:] if rule.guard is not None else stack
-        bound = self.oracle.bound
+        if rule.guard is not None:
+            if not stack or stack[0] != rule.guard:
+                return False
+            stack = stack[1:]
         total = 0
         for c in rule.children:
             if c.op is None:
                 total += bool(c.symbol)
-            elif c.op == COPY:
-                total += bound(c.symbol, base)
-            elif c.op == PUSH:
-                total += bound(c.symbol, (c.value,) + base)
-            elif not base or base[0] == c.value:
-                total += bound(c.symbol, base[1:])  # below the root, a demand
             else:
-                return False
+                child = _child_stack(c, stack)
+                if child is None:
+                    return False
+                total += self.oracle.bound(c.symbol, child[0])
             if total > self.maxlen:
                 return False
         return True
@@ -504,7 +490,8 @@ class Fixpoint:
             self._pending.append(combo)
 
     def run(self) -> Fixpoint:
-        self._discover(self.root)
+        if self.oracle.bound(*self.root) <= self.maxlen:
+            self._discover(self.root)
         while self._pending:
             if self.stats.steps > self.budget.max_steps:
                 self.stats.mark_exhausted("max_steps")
@@ -529,21 +516,12 @@ class Fixpoint:
         demands = False
         for c in rule.children:
             if c.op is None:
-                seen.append([((c.symbol,) if c.symbol else (), (), 1, (), c.symbol)])
+                seen.append([((c.symbol,) if c.symbol else (), (), 1, ())])
                 fresh.append([])
                 continue
             counted = True
-            prepend = None
-            if c.op == COPY:
-                cstack = base
-            elif c.op == PUSH:
-                cstack = (c.value,) + base
-            elif base:
-                if base[0] != c.value:
-                    return
-                cstack = base[1:]
-            else:
-                cstack, prepend = (), c.value
+            # _fits passed, so the child's pop matches
+            cstack, prepend = _child_stack(c, base)
             cstate = (c.symbol, cstack)
             if not self._discover(cstate):
                 return
@@ -551,7 +529,7 @@ class Fixpoint:
             opts_seen: list = []
             opts_fresh: list = []
             centries = self.entries[cstate]
-            for key, (cost, seq, _, stamp) in centries.items():
+            for key, (cost, seq, stamp) in centries.items():
                 demand = key[1]
                 if demand and _subsumed(centries, key, (cost, seq)):
                     continue  # it may have been joined, but need not be again
@@ -561,7 +539,7 @@ class Fixpoint:
                         self.stats.mark_exhausted("max_demand")
                         continue
                 demands = demands or bool(demand)
-                (opts_fresh if stamp > since else opts_seen).append((key[0], demand, cost, seq, (cstate, key)))
+                (opts_fresh if stamp > since else opts_seen).append((key[0], demand, cost, seq))
             if not opts_seen and not opts_fresh:
                 return
             seen.append(opts_seen)
@@ -605,7 +583,7 @@ class Fixpoint:
                     if demand and _subsumed(store, key, (cost, seq)):
                         continue
                     stats.improved += 1
-                    store[key] = (cost, seq, tuple(c[4] for c in chosen), stats.improved)
+                    store[key] = (cost, seq, stats.improved)
                     changed = True
         self._ran[combo] = clock
         if changed:
@@ -620,22 +598,26 @@ class Fixpoint:
     def witness(self, word: Word) -> list[tuple[TreeAddress, tuple[int, int] | None, State | str]] | None:
         """The minimal witness of word at the root, in preorder, as triples
         (address, slot, item): slot is (rule number, child position) in the
-        mother's rule, None at the root; item is a state, or a leaf symbol."""
+        mother's rule, None at the root; item is a state, or a leaf symbol.
+        The root entry's rule sequence is replayed from the root, and each
+        node's stack rebuilt from its mother's by its rule."""
         store = self.entries.get(self.root, {})
         keys = [k for k in store if k[0] == word]
         if not keys:
             return None
+        seq = iter(store[min(keys, key=lambda k: store[k][:2] + (k,))][1])
         out: list = []
-        # (address, slot, state or leaf symbol, entry key or None for a leaf)
-        todo = [(ROOT, None, self.root, min(keys, key=lambda k: store[k][:2] + (k,)))]
+        todo = [(ROOT, None, self.root)]
         while todo:
-            addr, slot, item, key = todo.pop()
+            addr, slot, item = todo.pop()
             out.append((addr, slot, item))
-            if key is None:
+            if isinstance(item, str):
                 continue
-            _, seq, refs, _ = self.entries[item][key]
-            for i in reversed(range(len(refs))):
-                ref = refs[i]
-                child = (ref, None) if isinstance(ref, str) else ref
-                todo.append((addr.child(i + 1), (seq[0], i), *child))
+            ri = next(seq)
+            rule = self.rules[ri]
+            base = item[1][1:] if rule.guard is not None else item[1]
+            for i in reversed(range(len(rule.children))):
+                c = rule.children[i]
+                child = c.symbol if c.op is None else (c.symbol, _child_stack(c, base)[0])
+                todo.append((addr.child(i + 1), (ri, i), child))
         return out

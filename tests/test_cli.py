@@ -84,6 +84,24 @@ def test_check_json_on_unification_grammars(capsys):
     assert len(rep["offenders"]) == 4
 
 
+def test_check_text_on_unification_grammars(capsys):
+    code, out, _ = run(capsys, "check", EX2U)
+    assert code == 0
+    assert out.splitlines() == [
+        "format: unification",
+        "rules: 7",
+        "lexicon: 1",
+        "ugi: yes",
+        "reduced-form: yes",
+        "sink-mapped-root: yes",
+    ]
+    code, out, _ = run(capsys, "check", AGR)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[3:6] == ["ugi: no", "reduced-form: no", "sink-mapped-root: no"]
+    assert lines[6:] == [f"  offender lexicon {k}: lexicon schemata must be empty" for k in range(4)]
+
+
 # --------------------------------------------------------------------------
 # member
 
@@ -169,6 +187,19 @@ def test_enum_prints_underscore_for_the_empty_word(tmp_path, capsys):
     code, out, _ = run(capsys, "enum", str(p), "--max-len", "1")
     assert code == 0
     assert out.splitlines() == ["_"]
+
+
+def test_every_command_names_a_real_stack_cap(tmp_path, capsys):
+    # S pushes f and reads it back at every depth, so its stack grows until
+    # max_stack cuts it while every state still fits the length bound
+    p = tmp_path / "deep.ixg"
+    p.write_text("nonterminals S T\nterminals a\nindices f\nstart S\nS -> T ^f\nT -> S\nS ^f -> a\n")
+    code, out, err = run(capsys, "enum", str(p), "--max-len", "2")
+    assert code == 0 and out.splitlines() == ["a"]
+    assert err == "warning: budget exhausted (max_stack)\n"
+    for command in ("member", "derive"):
+        code, out, _ = run(capsys, command, str(p), "aa")
+        assert code == 2 and out.splitlines() == ["member: no", "budget-exhausted: yes"]
 
 
 # --------------------------------------------------------------------------

@@ -63,3 +63,13 @@ def test_stack_engine_answers_carry_the_search_counters():
     assert member["states"] > 0 and member["improved"] > 0 and "steps" in member
     member = differential._membership(ex2u, "dd", differential.STACK_FIXTURE_BUDGETS["default"])
     assert member["member"] and member["steps"] > 0
+
+
+def test_node_capped_languages_of_example1_are_complete():
+    ids = {qid for qid, _, _ in differential.questions()}
+    ex1 = differential._fixture("example1.ixg")
+    # a^n b^n c^n up to the largest n whose minimal witness fits the node cap
+    for (label, maxlen, budget), count in zip(differential.NODE_CAP_LANGUAGES, (4, 28)):
+        assert f"example1.ixg/{label}/language/{maxlen}" in ids
+        lang = differential._stack_language(ex1, maxlen, budget)
+        assert not lang["exhausted"] and lang["reasons"] == [] and len(lang["words"]) == count

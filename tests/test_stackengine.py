@@ -34,6 +34,7 @@ from glab import (
     parse_unification_grammar,
     pop_schema,
     push_schema,
+    sug_language_upto,
     sug_membership,
     ugi_language_upto,
     ugi_membership,
@@ -205,6 +206,14 @@ def test_stack_form_witness_of_a_deep_word():
     assert validate_cstructure(g, r.witness).ok
 
 
+AMBIGUOUS_X = (
+    "nonterminals S X\nterminals x0 x1 x2\nattributes agr num\nvalues sg pl du\nstart S\n"
+    "rule S -> X { up agr = dn agr }\n"
+    "rule X -> X { up agr = dn agr } X { up agr = dn agr }\n"
+    "lex X -> x0 { up agr num = sg }\nlex X -> x1 { up agr num = pl }\nlex X -> x2 { }\n"
+)
+
+
 def test_membership_results_name_the_caps():
     ex1 = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
     # the witness of a^30 b^30 c^30 needs a stack of depth 30
@@ -216,14 +225,16 @@ def test_membership_results_name_the_caps():
     assert not r.member and r.exhausted and r.reasons == ("max_steps",)
     # S -> X, X -> X X: a five-word member takes 16 production tries to
     # reach its first c-structure
-    amb = parse_unification_grammar(
-        "nonterminals S X\nterminals x0 x1 x2\nattributes agr num\nvalues sg pl du\nstart S\n"
-        "rule S -> X { up agr = dn agr }\n"
-        "rule X -> X { up agr = dn agr } X { up agr = dn agr }\n"
-        "lex X -> x0 { up agr num = sg }\nlex X -> x1 { up agr num = pl }\nlex X -> x2 { }\n"
-    )
+    amb = parse_unification_grammar(AMBIGUOUS_X)
     r = sug_membership(amb, "x1 x2 x1 x2 x2", Budget(max_steps=3))
     assert not r.member and r.exhausted and r.reasons == ("max_steps",)
     agr = parse_unification_grammar((FIXTURES / "agreement.ugr").read_text())
     r = sug_membership(agr, "these dogs")
     assert r.member and r.reasons == ()
+
+
+def test_a_language_sweep_names_the_capped_memberships():
+    # not in stack form, so sug_language_upto sweeps memberships, and three
+    # steps do not reach a c-structure of a two-word string
+    r = sug_language_upto(parse_unification_grammar(AMBIGUOUS_X), 2, Budget(max_steps=3))
+    assert r.exhausted and r.reasons == ("membership_budget",)

@@ -122,7 +122,7 @@ def _words(fp: Fixpoint) -> tuple[str, ...]:
     [
         (SINK31, ("a", "aa", "aaa", "aaaa"), (0, 31, 1, 5, False, ())),
         (SINK31_IMAGE, ("a", "aa", "aaa", "aaaa"), (0, 74397, 4000, 20906, True, ("max_states",))),
-        (NORMALIZE58, ("", "bb", "bbbb"), (0, 1754, 306, 572, True, ("max_stack",))),
+        (NORMALIZE58, ("", "bb", "bbbb"), (0, 1274, 66, 212, True, ("max_stack",))),
         (NORMALIZE74, ("",), (0, 4, 3, 3, False, ())),
         # every word up to length 4 but a
         (NORMALIZE49, tuple(w for w in ALL_AB if w != "a"), (0, 787887, 34, 2036, True, ("max_stack",))),

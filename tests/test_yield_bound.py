@@ -1,16 +1,16 @@
-"""The least-yield bound that gates the stack engine's state discovery.
+"""The least-yield bound that gates the stack engine's rules.
 
-Fixpoint discovers a state only when its least yield length, computed from
-pop summaries, fits the length bound; only then do the stack and state caps
-apply.  In a search that no cap cut short, a discovered state holds every
-word it derives up to the length bound, so its shortest entry is as long as
-its least yield: the bound must equal it.  A search without the bound,
-capped or not, finds only real yields, and the bound must not exceed any of
-them.  Stack-form pops that reach below the root are the one exception to
-exactness.  The bound lets each of them meet its own
-value, while Fixpoint also makes sibling demands agree; so the bound is
-exact where there is one index value and a lower bound elsewhere.
-"""
+Fixpoint runs a rule on a state only when the least yield lengths of its
+children, computed from pop summaries, sum to at most the length bound, so
+it discovers a state only when the state's least yield fits; only then do
+the stack and state caps apply.  In a search that no cap cut short, a
+discovered state holds every word it derives up to the length bound, so its
+shortest entry is as long as its least yield: the bound must equal it.  A
+search without the bound, capped or not, finds only real yields, and the
+bound must not exceed any of them.  Stack-form pops that reach below the
+root are the one exception to exactness.  The bound lets each of them meet
+its own value, while Fixpoint also makes sibling demands agree; so the bound
+is exact where there is one index value and a lower bound elsewhere."""
 
 import random
 from pathlib import Path
@@ -30,7 +30,7 @@ from glab import (
     parse_unification_grammar,
 )
 from glab.cli import main
-from glab.indexed import indexed_membership, terminal_symbols
+from glab.indexed import indexed_language_upto, indexed_membership, terminal_symbols
 from glab.stackengine import COPY, POP, PUSH, Child, Fixpoint, Rule
 from glab.unification import _stack_rules
 
@@ -180,6 +180,10 @@ def test_a_guarded_rule_with_a_popping_child_is_refused():
     rules = [Rule("A", "f", (Child("A", POP, "f"),)), Rule("A", None, (Child("A", COPY),))]
     with pytest.raises(GrammarError):
         Fixpoint(rules, "A", 3, Budget())
+    # a guarded rule may only copy, so a guarded push is refused too
+    rules = [Rule("A", "f", (Child("A", PUSH, "f"),)), Rule("A", None, (Child("A", PUSH, "f"),))]
+    with pytest.raises(GrammarError):
+        Fixpoint(rules, "A", 3, Budget())
 
 
 # Deep stacks that fit the length bound are no longer cut by max_stack: the
@@ -200,3 +204,19 @@ def test_a85_b85_c85_is_a_member_without_exhaustion():
     g = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
     r = indexed_membership(g, "a" * 85 + "b" * 85 + "c" * 85)
     assert r.member and not r.exhausted and r.reasons == ()
+
+
+# A state deeper than max_nodes lies in no tree within max_nodes, since every
+# push is a node on the path to it: excluding it is exact, not a budget event.
+
+
+def test_a_small_node_cap_cuts_deep_stacks_without_exhaustion(capsys):
+    g = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
+    # the witness of a^4 b^4 c^4 has 29 nodes, that of a^5 b^5 c^5 36
+    words = ["a" * n + "b" * n + "c" * n for n in range(1, 5)]
+    r = indexed_language_upto(g, 120, Budget(max_nodes=30))
+    assert ["".join(w) for w in r.words] == words
+    assert not r.exhausted and r.reasons == ()
+    assert main(["enum", str(FIXTURES / "example1.ixg"), "--max-len", "120", "--budget", "30"]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == words and err == ""

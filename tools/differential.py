@@ -38,7 +38,9 @@ membership the member, witness, model, exhausted and reasons:
   language of each grammar and of its rewrite;
 - fixtures/example1.ixg, example2.ixg and example2_u.ugr under three
   budgets: languages at several lengths, and the membership of every word
-  up to length 6 (example 1) or 20 (example 2);
+  up to length 6 (example 1) or 20 (example 2); and example 1's languages
+  to lengths whose longest words need more nodes than a small node cap
+  allows, so that its stack grows past that cap;
 - random stack-form grammars from tests/helpers.py under two budgets, the
   membership of every word up to length 3: 40 rand_general_ugi grammars,
   20 more with sibling daughters that pop different values, so that their
@@ -86,6 +88,8 @@ STACK_FIXTURE_BUDGETS = {
     "steps50": Budget(max_steps=50),
     "stack8": Budget(max_stack=8),
 }
+# (label, length, budget) of example1.ixg's languages under a node cap
+NODE_CAP_LANGUAGES = (("nodes30", 120, Budget(max_nodes=30)), ("nodes200", 900, Budget(max_nodes=200)))
 RANDOM_STACK_SEED = 1305
 RANDOM_STACK_GRAMMARS = 40
 STEP_SWEEP = (
@@ -326,6 +330,8 @@ def _stack_fixture_questions():
                 yield f"{name}/{label}/language/{maxlen}", _stack_language, (g, maxlen, budget)
             for word in all_words(terminals, wordlen):
                 yield f"{name}/{label}/{_word_id(g, word)}/member", _stack_membership, (g, word, budget)
+    for label, maxlen, budget in NODE_CAP_LANGUAGES:
+        yield f"example1.ixg/{label}/language/{maxlen}", _stack_language, (_fixture("example1.ixg"), maxlen, budget)
 
 
 def _random_stack_questions():
