@@ -79,12 +79,15 @@ class LanguageResult:
 
     Words are tuples of terminal symbols sorted by length then
     lexicographically.  When exhausted is False the result is complete for
-    every string whose minimal witness fits the budget.
+    every string whose minimal witness fits the budget.  stats holds the
+    work counters of the search, when the engine reports them; as in
+    MembershipResult it takes no part in equality.
     """
 
     words: tuple[tuple[str, ...], ...]
     exhausted: bool
     reasons: tuple[str, ...] = ()
+    stats: SearchStats | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

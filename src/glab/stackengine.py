@@ -5,8 +5,9 @@ nonterminal carries a stack of index values, and a rule hands each child the
 mother's stack unchanged, with a value pushed, or with the top value popped.
 Both formalisms compile their rules to the Rule form below, numbered as in
 the source grammar, and this module computes, for every reachable state
-(nonterminal, stack), the yields of bounded length together with a minimal
-witness: fewest nodes, ties broken by the rule-number sequence in preorder.
+(nonterminal, readable stack; see below), the yields of bounded length
+together with a minimal witness: fewest nodes, ties broken by the
+rule-number sequence in preorder.
 
 A rule may carry a guard, the value a pop A^f -> alpha needs on top of the
 mother's stack; its children then see the rest of the stack.  A guard on an
@@ -28,6 +29,18 @@ or later, and no minimal tree uses a subsumed entry.  It is not stored, and
 an entry that a later one subsumes stays stored but is joined no more.  So
 max_demand names only a demand that no shorter one covers.
 
+A state is keyed by the part of its stack that can still be read.  A PUSH
+v to a child B, where no live rule that B reaches guards or pops v
+(_unread_pushes), hands B the stack (v,) in the search, not v on top of
+the mother's stack: the values below v are dead context that no node of
+B's subtree can read (Aho 1968).  The cut is exact.  v is never popped, so
+no pop in B's subtree reaches below (v,) and none leaves a demand, and B's
+rules apply to (v,) exactly as to the whole stack.  The pop summary of
+(B, v) has no exit monomial, so the least-yield bound of (B, (v,)) is that
+of the whole stack too.  Witnesses are rebuilt with whole stacks
+(Fixpoint.witness), so a derivation tree's labels are the stacks of its
+nodes.
+
 The paper's translations are defined on two shapes, and both are read here
 from the compiled rules, so indexed and stack-form grammars share one
 definition of each: reduced(rule), Aho's (1968) reduced form, and
@@ -43,7 +56,8 @@ Pereira 1995).  A state deeper than the node cap lies in no tree within it,
 since every push is a node on the path to it.  Both exclusions are exact and
 no budget event; only then do the stack-length and state-count caps apply,
 which set the exhausted flag, so max_stack names only a state that could
-still lie in a witness.
+still lie in a witness, and caps only the part of its stack that can be
+read.
 
 A membership run is given the word and keeps less: the subtrees of a
 witness yield factors of the word, so a combination is stored only if its
@@ -390,6 +404,37 @@ def _child_stack(c: Child, base: Stack) -> tuple[Stack, str | None] | None:
     return (base[1:], None) if base[0] == c.value else None
 
 
+def _unread_pushes(rules: Sequence[Rule], by_mother: dict[str, list[int]]) -> set[Child]:
+    """The PUSH children of the rules in by_mother whose value no rule that
+    their symbol reaches guards or pops: no node of the child's subtree can
+    pop the value, so none reads it or anything below it."""
+    reads: dict[str, set[str]] = {}  # per symbol pushed to, the values its subtrees read
+    cuts = set()
+    for ris in by_mother.values():
+        for ri in ris:
+            for c in rules[ri].children:
+                if c.op != PUSH:
+                    continue
+                got = reads.get(c.symbol)
+                if got is None:
+                    got = reads[c.symbol] = set()
+                    seen, todo = {c.symbol}, [c.symbol]
+                    while todo:
+                        for rj in by_mother.get(todo.pop(), ()):
+                            r = rules[rj]
+                            if r.guard is not None:
+                                got.add(r.guard)
+                            for d in r.children:
+                                if d.op == POP:
+                                    got.add(d.value)
+                                if d.op is not None and d.symbol not in seen:
+                                    seen.add(d.symbol)
+                                    todo.append(d.symbol)
+                if c.value not in got:
+                    cuts.add(c)
+    return cuts
+
+
 class Fixpoint:
     """Per-state yields with minimal witnesses, computed to a least fixpoint.
 
@@ -411,6 +456,11 @@ class Fixpoint:
     its options, before the max_demand test, so such an entry neither trips
     that cap nor costs a step.
 
+    A state is (nonterminal, readable stack): _fits and _process hand a
+    PUSH child in cuts (_unread_pushes, over the live rules) the pushed value
+    alone, since nothing below it can be read; the module docstring says why
+    that is exact.  witness replays the rules on whole stacks.
+
     Given word, with maxlen = len(word), the run is a membership run: it
     keeps only entries whose yield is a factor of word.
     """
@@ -431,6 +481,7 @@ class Fixpoint:
         self.by_mother: dict[str, list[int]] = {}
         for ri in live:
             self.by_mother.setdefault(rules[ri].mother, []).append(ri)
+        self.cuts = _unread_pushes(rules, self.by_mother)
         self.stats = SearchStats()
         self.oracle = _YieldBound([rules[ri] for ri in live], maxlen + 1)
         self.entries: dict[State, dict[tuple[Word, Stack], tuple]] = {}
@@ -465,7 +516,10 @@ class Fixpoint:
     def _fits(self, ri: int, stack: Stack) -> bool:
         """Whether rule ri applies on stack and its children's least yields
         sum to at most maxlen.  A rule that fails yields nothing within the
-        bound, so it is not run and its children are not discovered."""
+        bound, so it is not run and its children are not discovered.  A PUSH
+        child in cuts is bounded on the pushed value alone, the stack that
+        _process keys it by; its pop summary has no exit monomial, so that
+        bound is the whole stack's."""
         rule = self.rules[ri]
         if rule.guard is not None:
             if not stack or stack[0] != rule.guard:
@@ -476,7 +530,7 @@ class Fixpoint:
             if c.op is None:
                 total += bool(c.symbol)
             else:
-                child = _child_stack(c, stack)
+                child = _child_stack(c, () if c in self.cuts else stack)
                 if child is None:
                     return False
                 total += self.oracle.bound(c.symbol, child[0])
@@ -521,7 +575,7 @@ class Fixpoint:
                 continue
             counted = True
             # _fits passed, so the child's pop matches
-            cstack, prepend = _child_stack(c, base)
+            cstack, prepend = _child_stack(c, () if c in self.cuts else base)
             cstate = (c.symbol, cstack)
             if not self._discover(cstate):
                 return
@@ -593,14 +647,15 @@ class Fixpoint:
     def language(self) -> LanguageResult:
         words = {w for (w, _) in self.entries.get(self.root, {})}
         ordered = tuple(sorted(words, key=lambda w: (len(w), w)))
-        return LanguageResult(ordered, self.stats.exhausted, tuple(self.stats.reasons))
+        return LanguageResult(ordered, self.stats.exhausted, tuple(self.stats.reasons), self.stats)
 
     def witness(self, word: Word) -> list[tuple[TreeAddress, tuple[int, int] | None, State | str]] | None:
         """The minimal witness of word at the root, in preorder, as triples
         (address, slot, item): slot is (rule number, child position) in the
         mother's rule, None at the root; item is a state, or a leaf symbol.
         The root entry's rule sequence is replayed from the root, and each
-        node's stack rebuilt from its mother's by its rule."""
+        node's stack rebuilt from its mother's by its rule, whole: no PUSH
+        child is cut here, so each node carries the stack of its tree."""
         store = self.entries.get(self.root, {})
         keys = [k for k in store if k[0] == word]
         if not keys:

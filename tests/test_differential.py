@@ -34,6 +34,33 @@ def test_compare_reports_changed_fields_and_missing_answers(tmp_path, capsys):
     assert differential.compare(a, c, {"steps"}) == 0
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == ["compared 2 answers, 0 differ", "steps: 1 (allowed)"]
+    # answers whose exhausted flag changed are counted by direction
+    d = _write(
+        tmp_path / "d",
+        [
+            {"id": "q1", "exhausted": True, "reasons": ["max_stack"]},
+            {"id": "q2", "exhausted": True, "reasons": ["max_states"]},
+            {"id": "q3", "exhausted": False, "reasons": []},
+            {"id": "q4", "exhausted": True, "reasons": ["max_states"]},
+        ],
+    )
+    e = _write(
+        tmp_path / "e",
+        [
+            {"id": "q1", "exhausted": False, "reasons": []},
+            {"id": "q2", "exhausted": False, "reasons": []},
+            {"id": "q3", "exhausted": True, "reasons": ["max_steps"]},
+            {"id": "q4", "exhausted": True, "reasons": ["max_stack"]},
+        ],
+    )
+    assert differential.compare(d, e, {"exhausted", "reasons"}) == 0
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "compared 4 answers, 0 differ",
+        "exhausted: 3 (allowed)",
+        "reasons: 4 (allowed)",
+        "exhausted to complete: 2, complete to exhausted: 1",
+    ]
 
 
 def test_questions_cover_both_engines_once_each():

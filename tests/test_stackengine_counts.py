@@ -11,6 +11,12 @@ nonterminal, U0 -> U0 U0 with two pops below the root) and its
 sink_map_root image, normalize#58 and normalize#74; and normalize#49 of the
 acceptance-7 corpus, before its rewrite.  Each is searched to length 4
 under the fuzz budget.  Then the two indexed example fixtures.
+
+Last, marked indexed grammars that push values no rule reads: mark#19 of
+the acceptance-7 corpus and mark#21 of the fuzz-equiv pool, each before and
+after mark_index_end.  Keyed by the whole stack, the first took 4,000
+states and stopped at max_states, the second 17 and stopped at max_stack;
+keyed by the readable stack, each takes a handful of states and completes.
 """
 
 import itertools
@@ -18,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from glab import Budget, parse_indexed_grammar, parse_unification_grammar
+from glab import Budget, indexed_language_upto, mark_index_end, parse_indexed_grammar, parse_unification_grammar
 from glab.stackengine import Fixpoint
 from glab.unification import _stack_rules
 
@@ -230,3 +236,54 @@ def test_max_steps_sweep_on_sink31():
 
 def test_max_steps_sweep_on_normalize49():
     assert _sweep(NORMALIZE49, _SWEEP_NORMALIZE49) == _SWEEP_NORMALIZE49
+
+
+MARK19 = """\
+nonterminals N0 N0_0
+terminals a b
+indices i0 i1 $
+start N0_0
+N0 -> N0 ^i1
+N0 -> N0 ^i1
+N0 -> N0 N0
+N0 -> b
+N0 -> N0 ^i0
+N0 -> _
+N0_0 -> N0 ^$
+"""
+
+FUZZ21 = """\
+nonterminals N0 N0_0
+terminals a
+indices i0 i1 $
+start N0_0
+N0 -> N0 ^i0
+N0 -> N0 ^i0
+N0 -> a
+N0 -> _
+N0 -> _
+N0 -> N0 ^i0
+N0 -> N0 N0
+N0_0 -> N0 ^$
+"""
+
+
+@pytest.mark.parametrize(
+    "text, rewrite, words, counts",
+    [
+        (MARK19, False, ("", "b", "bb", "bbb", "bbbb"), (0, 197, 4, 32, False, ())),
+        (MARK19, True, ("", "b", "bb", "bbb", "bbbb"), (0, 203, 5, 38, False, ())),
+        (FUZZ21, False, ("", "a", "aa", "aaa", "aaaa"), (0, 110, 3, 20, False, ())),
+        (FUZZ21, True, ("", "a", "aa", "aaa", "aaaa"), (0, 116, 4, 26, False, ())),
+    ],
+    ids=["mark19-before", "mark19-after", "fuzz21-mark-left", "fuzz21-mark-right"],
+)
+def test_unread_pushes_counts(text, rewrite, words, counts):
+    g = parse_indexed_grammar(text)
+    if rewrite:
+        g = mark_index_end(g)
+    res = indexed_language_upto(g, 4, Budget(**FUZZ_CAPS))
+    assert tuple("".join(w) for w in res.words) == words
+    s = res.stats
+    assert (s.trees, s.steps, s.states, s.improved, s.exhausted, tuple(s.reasons)) == counts
+    assert (res.exhausted, res.reasons) == counts[4:]

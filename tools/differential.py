@@ -9,8 +9,9 @@ Run it once per source tree (set PYTHONPATH to that tree's `src`), then
 `compare` the two files: it prints one line per question whose answer
 differs in a field not named by --allow, and per question that only one file
 holds, and exits 1 when it printed any.  A summary goes to stderr: the
-number of answers that differ, and per field, allowed or not, the number of
-answers that differ in it.
+number of answers that differ, per field, allowed or not, the number of
+answers that differ in it, and, when some answer's exhausted flag changed,
+how many went from exhausted to complete and how many the other way.
 
 The questions to the reference c-structure engine and the language sweeps
 on top of it:
@@ -251,8 +252,8 @@ def _stack_language(g, maxlen, budget) -> dict:
     """The language as indexed_language_upto and ugi_language_upto compute
     it, with the work counters of the search."""
     rules = g.stack_rules if isinstance(g, glab.IndexedGrammar) else _stack_rules(g)
-    fp = Fixpoint(rules, g.start, maxlen, budget).run()
-    r, s = fp.language(), fp.stats
+    r = Fixpoint(rules, g.start, maxlen, budget).run().language()
+    s = r.stats
     return {
         "words": [list(w) for w in r.words],
         "exhausted": r.exhausted,
@@ -406,6 +407,8 @@ def compare(a: Path, b: Path, allow: set[str]) -> int:
     left, right = _load(a), _load(b)
     differing = 0
     by_field: dict[str, int] = {}
+    # answers whose exhausted flag went from true to false, and back
+    completed = capped = 0
     for qid in sorted(left.keys() | right.keys()):
         if qid not in right or qid not in left:
             print(f"{qid}: only in {a if qid in left else b}")
@@ -413,6 +416,9 @@ def compare(a: Path, b: Path, allow: set[str]) -> int:
             continue
         fields = sorted(left[qid].keys() | right[qid].keys())
         changed = [f for f in fields if left[qid].get(f) != right[qid].get(f)]
+        if "exhausted" in changed:
+            completed += left[qid].get("exhausted") is True
+            capped += right[qid].get("exhausted") is True
         for f in changed:
             by_field[f] = by_field.get(f, 0) + 1
             if f not in allow:
@@ -421,6 +427,8 @@ def compare(a: Path, b: Path, allow: set[str]) -> int:
     print(f"compared {len(left.keys() | right.keys())} answers, {differing} differ", file=sys.stderr)
     for f, n in sorted(by_field.items()):
         print(f"{f}: {n}{' (allowed)' if f in allow else ''}", file=sys.stderr)
+    if completed or capped:
+        print(f"exhausted to complete: {completed}, complete to exhausted: {capped}", file=sys.stderr)
     return 1 if differing else 0
 
 
