@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -236,72 +235,41 @@ def cmd_transform(args: argparse.Namespace) -> int:
 # equiv
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
-    """Bounded-language comparison of two grammars up to a length."""
-
-    maxlen: int
-    agree: bool
-    common: tuple[tuple[str, ...], ...]
-    left_only: tuple[tuple[str, ...], ...]
-    right_only: tuple[tuple[str, ...], ...]
-    left_exhausted: bool
-    right_exhausted: bool
-
-    def __post_init__(self) -> None:
-        if self.agree != (not self.left_only and not self.right_only):
-            raise GlabError("verdict flag contradicts the difference sets")
-
-
-def compare_languages(
-    left: Grammar, right: Grammar, maxlen: int, budget: Budget
-) -> EquivVerdict:
-    lres = _language(left, maxlen, budget)
-    rres = _language(right, maxlen, budget)
-    lwords, rwords = set(lres.words), set(rres.words)
-
-    def ordered(ws) -> tuple:
-        return tuple(sorted(ws, key=lambda w: (len(w), w)))
-
-    left_only = ordered(lwords - rwords)
-    right_only = ordered(rwords - lwords)
-    return EquivVerdict(
-        maxlen,
-        not left_only and not right_only,
-        ordered(lwords & rwords),
-        left_only,
-        right_only,
-        lres.exhausted,
-        rres.exhausted,
-    )
-
-
 def cmd_equiv(args: argparse.Namespace) -> int:
     left = _load(args.left)
     right = _load(args.right)
-    v = compare_languages(left, right, args.max_len, _budget(args))
+    budget = _budget(args)
+    lres = _language(left, args.max_len, budget)
+    rres = _language(right, args.max_len, budget)
+    lwords, rwords = set(lres.words), set(rres.words)
+
+    def ordered(ws) -> list:
+        return sorted(ws, key=lambda w: (len(w), w))
+
+    common, left_only, right_only = ordered(lwords & rwords), ordered(lwords - rwords), ordered(rwords - lwords)
+    agree = not left_only and not right_only
     if args.json:
         print(json.dumps({
-            "maxlen": v.maxlen,
-            "agree": v.agree,
-            "common": [left.render_word(w) for w in v.common],
-            "left_only": [left.render_word(w) for w in v.left_only],
-            "right_only": [right.render_word(w) for w in v.right_only],
-            "left_exhausted": v.left_exhausted,
-            "right_exhausted": v.right_exhausted,
+            "maxlen": args.max_len,
+            "agree": agree,
+            "common": [left.render_word(w) for w in common],
+            "left_only": [left.render_word(w) for w in left_only],
+            "right_only": [right.render_word(w) for w in right_only],
+            "left_exhausted": lres.exhausted,
+            "right_exhausted": rres.exhausted,
         }))
     else:
-        print(f"max-len: {v.maxlen}")
-        print(f"agree: {_yesno(v.agree)}")
-        print(f"left-exhausted: {_yesno(v.left_exhausted)}")
-        print(f"right-exhausted: {_yesno(v.right_exhausted)}")
-        for w in v.common:
+        print(f"max-len: {args.max_len}")
+        print(f"agree: {_yesno(agree)}")
+        print(f"left-exhausted: {_yesno(lres.exhausted)}")
+        print(f"right-exhausted: {_yesno(rres.exhausted)}")
+        for w in common:
             print(f"common {_render(left, w)}")
-        for w in v.left_only:
+        for w in left_only:
             print(f"left-only {_render(left, w)}")
-        for w in v.right_only:
+        for w in right_only:
             print(f"right-only {_render(right, w)}")
-    return 0 if v.agree else 2
+    return 0 if agree else 2
 
 
 # --------------------------------------------------------------------------

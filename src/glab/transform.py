@@ -6,7 +6,8 @@ pair (next, idx): pushes become push schemata, pops become pop schemata,
 two-nonterminal rules become copy-copy productions and terminal rules become
 the lexicon.  The map is reversible, and derivation trees convert to
 c-structures (and back) on the same tree domain, with index stacks realized
-as value strings hanging off the model's nodes.
+as value strings hanging off the model's nodes.  Both directions and the
+tree conversion read the compiled rules (stack_rules), not the productions.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ from .indexed import (
     validate_derivation_tree,
 )
 from . import stackengine
+from .stackengine import COPY, POP, PUSH, Rule
 from .trees import TreeAddress
 from .unification import (
     CStructure,
     Daughter,
     LexRule,
+    Schema,
     SimpleUnificationGrammar,
     UProduction,
-    _stack_rules,
     collect_equations,
     copy_schema,
     pop_schema,
@@ -105,33 +107,41 @@ def _require_reduced_marked(g: IndexedGrammar, what: str) -> None:
         )
 
 
+def _schemata(rule: Rule) -> tuple[Schema, ...]:
+    """The schema of each child of a compiled reduced indexed rule: a guard
+    gives a pop schema over its one COPY child, a PUSH child a push schema,
+    a COPY child a copy schema, and a leaf no equations."""
+    if rule.guard is not None:
+        return (pop_schema(NEXT_ATTR, IDX_ATTR, rule.guard),)
+    return tuple(
+        push_schema(NEXT_ATTR, IDX_ATTR, c.value) if c.op == PUSH else copy_schema() if c.op == COPY else frozenset()
+        for c in rule.children
+    )
+
+
 def u_transform(g: IndexedGrammar) -> tuple[SimpleUnificationGrammar, RuleCorrespondence]:
     """Map a reduced, marked indexed grammar to its unification counterpart.
 
-    Rule for rule: A -> B^f gives a push schema, A^f -> B a pop schema,
-    A -> BC two copy schemata, A -> t (or the empty string) a lexicon entry
-    with no equations.  Attributes are (next, idx) and the value symbols are
-    the index symbols.
+    Rule for rule (_schemata): A -> B^f gives a push schema, A^f -> B a pop
+    schema, A -> BC two copy schemata, A -> t (or the empty string) a lexicon
+    entry with no equations.  Attributes are (next, idx) and the value
+    symbols are the index symbols.
     """
     _require_reduced_marked(g, "the transformation")
     prods: list[UProduction] = []
     lex: list[LexRule] = []
     images: list[RuleRef] = []
-    for p in g.productions:
-        if isinstance(p, Push):
-            images.append(("production", len(prods)))
-            prods.append(UProduction(p.lhs, (Daughter(p.rhs, push_schema(NEXT_ATTR, IDX_ATTR, p.index)),)))
-        elif isinstance(p, Pop):
-            images.append(("production", len(prods)))
-            prods.append(UProduction(p.lhs, (Daughter(p.rhs[0], pop_schema(NEXT_ATTR, IDX_ATTR, p.index)),)))
-        elif len(p.rhs) == 2:
-            images.append(("production", len(prods)))
-            prods.append(
-                UProduction(p.lhs, (Daughter(p.rhs[0], copy_schema()), Daughter(p.rhs[1], copy_schema())))
-            )
-        else:
+    # in reduced form a leaf is the one child of its rule
+    for rule in g.stack_rules:
+        schemata = _schemata(rule)
+        first = rule.children[0]
+        if first.op is None:
             images.append(("lexicon", len(lex)))
-            lex.append(LexRule(p.lhs, p.rhs[0] if p.rhs else "", frozenset()))
+            lex.append(LexRule(rule.mother, first.symbol, schemata[0]))
+        else:
+            images.append(("production", len(prods)))
+            daughters = tuple(Daughter(c.symbol, s) for c, s in zip(rule.children, schemata))
+            prods.append(UProduction(rule.mother, daughters))
     gu = SimpleUnificationGrammar(
         g.symbols.nonterminals,
         g.symbols.terminals,
@@ -170,19 +180,18 @@ def reverse_u(g: SimpleUnificationGrammar) -> tuple[IndexedGrammar, RuleCorrespo
 
     prods: list = []
     images: list[RuleRef] = []
-    # in reduced form push and pop daughters occur only in unary rules
-    for j, rule in enumerate(_stack_rules(g)[: len(g.productions)]):
+    n = len(g.productions)
+    # in reduced form push and pop daughters occur only in unary rules; the
+    # empty-string leaf of a lexicon rule becomes an empty right-hand side
+    for j, rule in enumerate(g.stack_rules):
         first = rule.children[0]
-        if first.op == "push":
+        if first.op == PUSH:
             prods.append(Push(rule.mother, first.symbol, first.value))
-        elif first.op == "pop":
+        elif first.op == POP:
             prods.append(Pop(rule.mother, first.value, (first.symbol,)))
         else:
-            prods.append(Plain(rule.mother, tuple(c.symbol for c in rule.children)))
-        images.append(("production", j))
-    for j, r in enumerate(g.lexicon):
-        prods.append(Plain(r.mother, (r.word,) if r.word else ()))
-        images.append(("lexicon", j))
+            prods.append(Plain(rule.mother, tuple(c.symbol for c in rule.children if c.symbol)))
+        images.append(("production", j) if j < n else ("lexicon", j - n))
     symbols = SymbolTable(g.nonterminals, g.terminals, g.values)
     gi = IndexedGrammar(symbols, tuple(prods), g.start)
     return gi, RuleCorrespondence(tuple(images))
@@ -204,34 +213,23 @@ def cstructure_from_derivation(
     string.
 
     Same tree domain and node symbols; every non-root slot carries the schema
-    of the transformed licensing rule.  The structure's nodes are the suffix
+    of its licensing rule (_schemata).  The structure's nodes are the suffix
     strings of the stacks occurring in the tree (next drops the first value,
     idx names it) and each node address is mapped to its own stack, so all
     instantiated equations of the c-structure hold.
     """
-    gu, corr = u_transform(g)
+    _require_reduced_marked(g, "the transformation")
     rep = validate_derivation_tree(g, t)
     if not rep.ok:
         a, cond, msg = rep.errors[0]
         raise PreconditionError(f"not a derivation tree of the grammar: {a} [{cond}] {msg}")
     assert rep.license is not None
 
-    categories: dict[TreeAddress, str] = {}
-    eqsets: dict[TreeAddress, frozenset] = {}
-    for a in t.domain.sorted_addresses:
-        categories[a] = t.symbol_at(a)
-    for a in t.domain.sorted_addresses:
-        if t.domain.out_degree(a) == 0:
-            continue
-        kind, j = corr.image(rep.license[a])
-        kids = t.domain.children(a)
-        if kind == "production":
-            rule = gu.productions[j]
-            for child, d in zip(kids, rule.daughters):
-                eqsets[child] = d.schema
-        else:
-            eqsets[kids[0]] = gu.lexicon[j].schema
-    cs = CStructure(t.domain, categories, eqsets)
+    schemata = [_schemata(rule) for rule in g.stack_rules]
+    eqsets: dict[TreeAddress, Schema] = {}
+    for a, k in rep.license.items():
+        eqsets.update(zip(t.domain.children(a), schemata[k]))
+    cs = CStructure(t.domain, {a: t.symbol_at(a) for a in t.domain.sorted_addresses}, eqsets)
 
     names = {a: t.stack_at(a) for a in t.domain.internal}
     m = suffix_chain_structure(set(names.values()), names, NEXT_ATTR, IDX_ATTR)

@@ -76,13 +76,14 @@ class TreeDomain:
     def __post_init__(self) -> None:
         if not self.addresses:
             raise GrammarError("a tree domain must contain the root")
+        # closure is tested on the digit tuples, building no TreeAddress
+        digits = {a.digits for a in self.addresses}
         for a in self.addresses:
-            if not a.is_root and a.parent not in self.addresses:
+            d = a.digits
+            if d and d[:-1] not in digits:
                 raise GrammarError(f"tree domain is not prefix-closed at {a}")
-            if a.digits and a.digits[-1] > 1:
-                left = TreeAddress(a.digits[:-1] + (a.digits[-1] - 1,))
-                if left not in self.addresses:
-                    raise GrammarError(f"tree domain is not left-sibling-closed at {a}")
+            if d and d[-1] > 1 and d[:-1] + (d[-1] - 1,) not in digits:
+                raise GrammarError(f"tree domain is not left-sibling-closed at {a}")
 
     @cached_property
     def sorted_addresses(self) -> tuple[TreeAddress, ...]:

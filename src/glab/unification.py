@@ -296,6 +296,13 @@ class SimpleUnificationGrammar:
         the schemata per grammar (see _classify)."""
         return _classify(self)
 
+    @property
+    def stack_rules(self) -> tuple[Rule, ...]:
+        """The combined rules as stack-engine rules, numbered as in
+        combined_rules (see _classify); requires stack-form schemata."""
+        _require_ugi(self, "the fixpoint language engine")
+        return self._stack_form[1]
+
     @cached_property
     def _rooted_rules(self) -> tuple[tuple[tuple[frozenset[Equation], tuple[TreeAddress, ...]], ...], tuple]:
         """What the reference engine's rooted structures need of the rules:
@@ -1114,12 +1121,6 @@ def canonical_fs(cs: CStructure) -> SolveResult:
 # Fixpoint language engine for stack-schema grammars
 
 
-def _stack_rules(g: SimpleUnificationGrammar) -> tuple[Rule, ...]:
-    """The stack-engine rules of g, numbered as in g.combined_rules."""
-    _require_ugi(g, "the fixpoint language engine")
-    return g._stack_form[1]
-
-
 def _slot_schema(g: SimpleUnificationGrammar, slot: tuple[int, int]) -> Schema:
     rule = g.combined_rules[slot[0]]
     return rule.daughters[slot[1]].schema if isinstance(rule, UProduction) else rule.schema
@@ -1128,12 +1129,12 @@ def _slot_schema(g: SimpleUnificationGrammar, slot: tuple[int, int]) -> Schema:
 def ugi_language_upto(g: SimpleUnificationGrammar, maxlen: int, budget: Budget = DEFAULT_BUDGET) -> LanguageResult:
     """All grammatical strings of length <= maxlen whose best witness fits the
     budget, via the demand-string fixpoint.  Requires stack-form schemata."""
-    return Fixpoint(_stack_rules(g), g.start, maxlen, budget).run().language()
+    return Fixpoint(g.stack_rules, g.start, maxlen, budget).run().language()
 
 
 def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Fixpoint membership with a minimal consistent witness c-structure."""
-    rules = _stack_rules(g)
+    rules = g.stack_rules
     word = terminal_word(w, g.terminals, g.single_char_terminals)
     fp = Fixpoint(rules, g.start, len(word), budget, word).run()
     walk = fp.witness(word)

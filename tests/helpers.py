@@ -47,7 +47,6 @@ from glab import (
 )
 from glab.indexed import terminal_symbols
 from glab.stackengine import POP
-from glab.unification import _stack_rules
 
 FUZZ_BUDGET = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8)
 
@@ -171,7 +170,7 @@ def rand_general_ugi(rng: random.Random) -> SimpleUnificationGrammar:
 def clashing_pops(g: SimpleUnificationGrammar) -> bool:
     """Whether a production of a stack-form grammar has daughters that pop
     different values, so that their demands below the root can clash."""
-    return any(len({c.value for c in r.children if c.op == POP}) > 1 for r in _stack_rules(g))
+    return any(len({c.value for c in r.children if c.op == POP}) > 1 for r in g.stack_rules)
 
 
 def rand_arbitrary_sug(rng: random.Random) -> SimpleUnificationGrammar:

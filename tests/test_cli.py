@@ -278,6 +278,19 @@ def test_equiv_agreeing_grammars_exit_zero(capsys):
     }
 
 
+def test_equiv_agreeing_grammars_in_text_list_the_common_words(capsys):
+    code, out, _ = run(capsys, "equiv", EX2, EX2U, "--max-len", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "max-len: 4",
+        "agree: yes",
+        "left-exhausted: no",
+        "right-exhausted: no",
+        "common dd",
+        "common dddd",
+    ]
+
+
 def test_equiv_disagreeing_grammars_exit_two(capsys):
     code, out, _ = run(capsys, "equiv", EX1, EX2, "--max-len", "3")
     lines = out.splitlines()

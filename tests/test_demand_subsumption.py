@@ -36,7 +36,6 @@ from glab import (
     validate_cstructure,
 )
 from glab.stackengine import Fixpoint
-from glab.unification import _stack_rules
 
 from helpers import FUZZ_BUDGET, all_words, clashing_pops, rand_general_ugi, sample_until
 
@@ -49,7 +48,7 @@ BUDGET = Budget(max_nodes=14, max_stack=16, max_states=200, max_steps=5000, max_
 def _complete_with_demands(g) -> bool:
     """Whether the language run of g is complete and stores an entry with
     a demand, so that subsumption can apply."""
-    fp = Fixpoint(_stack_rules(g), g.start, MAXLEN, BUDGET).run()
+    fp = Fixpoint(g.stack_rules, g.start, MAXLEN, BUDGET).run()
     return not fp.stats.exhausted and any(d for store in fp.entries.values() for _, d in store)
 
 

@@ -26,6 +26,7 @@ from glab import (
     suffix_chain_structure,
     well_defined_check,
 )
+from glab.features import format_path
 
 from helpers import oracle_satisfiable, rand_equation_set, sample_until, small_term_set
 
@@ -187,6 +188,14 @@ def test_solve_reports_cycles():
     assert isinstance(res.diagnosis, CycleDetected)
     assert res.diagnosis.term == (N1, ())
     assert res.diagnosis.path == ("p",)
+
+
+def test_diagnoses_render_their_term_and_path():
+    assert str(ValueClash((N1, ("p",)), "u", "v")) == "value clash at 1.p: u vs v"
+    assert str(AtomicityViolation((N2, ("p", "q")))) == "atomic node with outgoing attribute at 2.p.q"
+    assert str(CycleDetected((ROOT, ()), ("p", "q"))) == "attribute cycle at eps via p.q"
+    assert str(solve([PathEq(N1, ("p",), N1, ())], [N1]).diagnosis) == "attribute cycle at 1 via p"
+    assert format_path(()) == "eps"
 
     # each witness names the first term of its class, whichever name reaches it
     cases = [

@@ -32,7 +32,6 @@ from glab import (
     ugi_membership,
 )
 from glab.stackengine import Fixpoint
-from glab.unification import _stack_rules
 
 from helpers import FUZZ_BUDGET, all_words, rand_general_ugi, rand_reduced_marked_indexed, rand_reduced_ugi, sample_until
 
@@ -41,9 +40,9 @@ MAXLEN = 4
 # the fuzz budget, with state and step caps that many random grammars trip
 BUDGET = replace(FUZZ_BUDGET, max_states=200, max_steps=2000)
 FAMILIES = (
-    ("indexed", rand_reduced_marked_indexed, lambda g: g.stack_rules, lambda g: g.symbols.terminals),
-    ("general", rand_general_ugi, _stack_rules, lambda g: g.terminals),
-    ("reduced", rand_reduced_ugi, _stack_rules, lambda g: g.terminals),
+    ("indexed", rand_reduced_marked_indexed, lambda g: g.symbols.terminals),
+    ("general", rand_general_ugi, lambda g: g.terminals),
+    ("reduced", rand_reduced_ugi, lambda g: g.terminals),
 )
 
 
@@ -73,25 +72,25 @@ def assert_membership_matches_language(rules, start, terminals) -> int:
 def test_membership_matches_language_on_complete_random_grammars(family):
     """Grammars whose language to MAXLEN is complete and holds at least
     two nonempty words: every answer and witness is compared."""
-    name, make, rules, terminals = family
+    name, make, terminals = family
     rng = random.Random(f"factors/{name}")
 
     def complete(g) -> bool:
-        lang = Fixpoint(rules(g), g.start, MAXLEN, BUDGET).run()
+        lang = Fixpoint(g.stack_rules, g.start, MAXLEN, BUDGET).run()
         return not lang.stats.exhausted and sum(map(bool, lang.language().words)) >= 2
 
     for g in sample_until(lambda: make(rng), complete, 20, 2000):
         words = sum(1 for _ in all_words(terminals(g), MAXLEN))
-        assert assert_membership_matches_language(rules(g), g.start, terminals(g)) == words
+        assert assert_membership_matches_language(g.stack_rules, g.start, terminals(g)) == words
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
 def test_membership_on_random_grammars_is_capped_only_where_language_is(family):
-    name, make, rules, terminals = family
+    name, make, terminals = family
     rng = random.Random(f"factors/raw/{name}")
     for _ in range(10):
         g = make(rng)
-        assert_membership_matches_language(rules(g), g.start, terminals(g))
+        assert_membership_matches_language(g.stack_rules, g.start, terminals(g))
 
 
 def test_membership_matches_language_on_large_joins():

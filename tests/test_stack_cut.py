@@ -28,7 +28,6 @@ from glab import (
 )
 from glab.indexed import terminal_symbols
 from glab.stackengine import Fixpoint
-from glab.unification import _stack_rules
 
 from helpers import FUZZ_BUDGET, all_words, rand_general_ugi, rand_reduced_marked_indexed
 
@@ -119,7 +118,7 @@ def test_stack_form_searches_agree_with_the_reference_sweep():
                 assert m.witness == ref.witness, (g, w)
         assert set(res.words) == reference, g
         compared += 1
-        completed += _whole_stack_search(_stack_rules(g), g.start, 3, budget).stats.exhausted
+        completed += _whole_stack_search(g.stack_rules, g.start, 3, budget).stats.exhausted
     assert compared >= 20 and completed >= 4
 
 

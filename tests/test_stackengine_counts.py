@@ -26,7 +26,6 @@ import pytest
 
 from glab import Budget, indexed_language_upto, mark_index_end, parse_indexed_grammar, parse_unification_grammar
 from glab.stackengine import Fixpoint
-from glab.unification import _stack_rules
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FUZZ_CAPS = dict(max_nodes=512, max_stack=16, max_states=4000, max_demand=8)
@@ -110,8 +109,7 @@ ALL_AB = tuple("".join(w) for n in range(1, 5) for w in itertools.product("ab", 
 
 
 def _run(g, maxlen: int, budget: Budget) -> Fixpoint:
-    rules = g.stack_rules if hasattr(g, "stack_rules") else _stack_rules(g)
-    return Fixpoint(rules, g.start, maxlen, budget).run()
+    return Fixpoint(g.stack_rules, g.start, maxlen, budget).run()
 
 
 def _counts(fp: Fixpoint) -> tuple:

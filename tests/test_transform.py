@@ -2,6 +2,7 @@
 derivation-tree / c-structure conversions that ride on it."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -38,6 +39,7 @@ from glab import (
     reverse_u,
     satisfies_set,
     sink_map_root,
+    sug_membership,
     suffix_chain_structure,
     tree_of,
     u_transform,
@@ -47,7 +49,7 @@ from glab import (
     validate_derivation_tree,
 )
 
-from helpers import fs_isomorphic, rand_reduced_marked_indexed, rand_reduced_ugi
+from helpers import FUZZ_BUDGET, all_words, fs_isomorphic, rand_reduced_marked_indexed, rand_reduced_ugi
 from test_indexed import doubling_grammar, lockstep_grammar
 
 
@@ -121,6 +123,26 @@ def test_u_transform_preserves_the_language():
     right = ugi_language_upto(gu, 8)
     assert left.words == right.words == (("d", "d"), ("d",) * 4, ("d",) * 8)
     assert not left.exhausted and not right.exhausted
+
+
+def test_images_of_the_acceptance_4_corpus_agree_with_the_reference_sweep():
+    """Acceptance 4's grammars (same seed) against their images decided word
+    by word by sug_membership, the reference c-structure engine, so that a
+    fault the stack engine's two compilations share would show.  A grammar
+    is compared only where neither side is cut short."""
+    rng = random.Random(40426)
+    budget = replace(FUZZ_BUDGET, max_trees=5000)
+    compared = 0
+    for _ in range(100):
+        gi = rand_reduced_marked_indexed(rng)
+        left = indexed_language_upto(gi, 3, FUZZ_BUDGET)
+        gu, _ = u_transform(gi)
+        answers = [(w, sug_membership(gu, w, budget)) for w in all_words(gu.terminals, 3)]
+        if left.exhausted or any(r.exhausted for _, r in answers):
+            continue
+        assert set(left.words) == {w for w, r in answers if r.member}, gi
+        compared += 1
+    assert compared >= 80
 
 
 # --------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def test_domain_requires_left_siblings():
         domain_of({ROOT, address(2)})
 
 
+def test_closure_errors_name_the_address_and_the_broken_closure():
+    # 12 lacks both its parent 1 and its left sibling 11; prefix closure is tested first
+    with pytest.raises(GrammarError, match="not prefix-closed at 12$"):
+        domain_of({ROOT, address(1, 2)})
+    with pytest.raises(GrammarError, match="not left-sibling-closed at 12$"):
+        domain_of({ROOT, address(1), address(1, 2)})
+
+
 def test_domain_requires_root():
     with pytest.raises(GrammarError):
         domain_of({address(1)})

@@ -804,6 +804,26 @@ print(repr(sug_membership(g, "these dogs").witness.domain))
 """
 
 
+def test_cstructure_repr_lists_addresses_in_order_and_schemata_sorted():
+    a1, a11 = address(1), address(1, 1)
+    # dicts filled in reverse address order
+    cs = CStructure(
+        domain_of({a11, a1, ROOT}),
+        {a11: "a", a1: "A", ROOT: "S"},
+        {a11: frozenset(), a1: push_schema("next", "idx", "v")},
+    )
+    root, one, oneone = "TreeAddress(digits=())", "TreeAddress(digits=(1,))", "TreeAddress(digits=(1, 1))"
+    push = (
+        "ArrowPathEq(left=<Arrow.DOWN: 'dn'>, left_path=('next',), right=<Arrow.UP: 'up'>, right_path=()), "
+        "ArrowValEq(side=<Arrow.DOWN: 'dn'>, path=('idx',), value='v')"
+    )
+    assert repr(cs) == (
+        f"CStructure(domain=TreeDomain(addresses=frozenset({{{root}, {one}, {oneone}}})), "
+        f"categories={{{root}: 'S', {one}: 'A', {oneone}: 'a'}}, "
+        f"eqsets={{{one}: frozenset({{{push}}}), {oneone}: frozenset()}})"
+    )
+
+
 def test_cstructures_print_the_same_under_every_hash_seed():
     src = Path(glab.__file__).resolve().parents[1]
     code = _PRINT_WITNESSES % str(src.parent / "fixtures")

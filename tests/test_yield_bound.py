@@ -32,7 +32,6 @@ from glab import (
 from glab.cli import main
 from glab.indexed import indexed_language_upto, indexed_membership, terminal_symbols
 from glab.stackengine import COPY, POP, PUSH, Child, Fixpoint, Rule
-from glab.unification import _stack_rules
 
 from helpers import rand_general_ugi, rand_reduced_marked_indexed, rand_reduced_ugi
 
@@ -107,9 +106,9 @@ def test_bound_on_random_stack_form_grammars():
         for _ in range(150):
             g = generator(rng)
             if len(g.values) == 1:
-                exact += _check_bound(_stack_rules(g), g.start, exact=True)
+                exact += _check_bound(g.stack_rules, g.start, exact=True)
             else:
-                lower += _check_bound(_stack_rules(g), g.start, exact=False)
+                lower += _check_bound(g.stack_rules, g.start, exact=False)
     assert exact >= 20 and lower >= 40
 
 
@@ -167,13 +166,8 @@ def test_the_exits_of_a_push_see_the_stack_it_pushed_onto():
 @pytest.mark.parametrize("fixture, maxlen", [("example1.ixg", 30), ("example2.ixg", 64), ("example2_u.ugr", 64)])
 def test_bound_is_exact_on_the_fixtures(fixture, maxlen):
     text = (FIXTURES / fixture).read_text()
-    if fixture.endswith(".ixg"):
-        g = parse_indexed_grammar(text)
-        rules = g.stack_rules
-    else:
-        g = parse_unification_grammar(text)
-        rules = _stack_rules(g)
-    assert _check_bound(rules, g.start, exact=True, maxlen=maxlen) > 0
+    g = parse_indexed_grammar(text) if fixture.endswith(".ixg") else parse_unification_grammar(text)
+    assert _check_bound(g.stack_rules, g.start, exact=True, maxlen=maxlen) > 0
 
 
 def test_a_guarded_rule_with_a_popping_child_is_refused():

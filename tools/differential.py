@@ -70,8 +70,6 @@ sys.path.extend(str(ROOT_DIR / d) for d in ("src", "bench", "tests"))
 
 import glab  # noqa: E402
 from glab import Budget, SearchStats, format_schema  # noqa: E402
-from glab.stackengine import Fixpoint  # noqa: E402
-from glab.unification import _stack_rules  # noqa: E402
 
 SWEEP_SEEDS = (1, 2, 3)
 FIXTURE_BUDGETS = {
@@ -249,10 +247,10 @@ def _stack_membership(g, word, budget) -> dict:
 
 
 def _stack_language(g, maxlen, budget) -> dict:
-    """The language as indexed_language_upto and ugi_language_upto compute
-    it, with the work counters of the search."""
-    rules = g.stack_rules if isinstance(g, glab.IndexedGrammar) else _stack_rules(g)
-    r = Fixpoint(rules, g.start, maxlen, budget).run().language()
+    """The language from indexed_language_upto or ugi_language_upto, with
+    the work counters of its search (LanguageResult.stats)."""
+    language = glab.indexed_language_upto if isinstance(g, glab.IndexedGrammar) else glab.ugi_language_upto
+    r = language(g, maxlen, budget)
     s = r.stats
     return {
         "words": [list(w) for w in r.words],
