@@ -245,8 +245,6 @@ def parse_unification_grammar(text: str) -> SimpleUnificationGrammar:
                 raise ParseError(f"expected a daughter category, got {cat!r}", lineno)
             schema, pos = _parse_schema(toks, pos + 1, lineno, values)
             daughters.append(Daughter(cat, schema))
-        if not daughters:
-            raise ParseError("a production needs at least one daughter", lineno)
         productions.append(UProduction(mother, tuple(daughters)))
     return SimpleUnificationGrammar(
         headers["nonterminals"],

@@ -213,10 +213,10 @@ class DerivationTree:
         if set(self.labels) != self.domain.addresses:
             raise GrammarError("labels must cover exactly the tree domain")
         for a in self.domain.sorted_addresses:
-            lab = self.labels[a]
-            if self.domain.out_degree(a) > 0 and not isinstance(lab, NodeLabel):
-                raise GrammarError(f"internal node {a} must carry a nonterminal label")
-            if self.domain.out_degree(a) == 0 and not isinstance(lab, LeafLabel):
+            if self.domain.children(a):
+                if not isinstance(self.labels[a], NodeLabel):
+                    raise GrammarError(f"internal node {a} must carry a nonterminal label")
+            elif not isinstance(self.labels[a], LeafLabel):
                 raise GrammarError(f"leaf {a} must carry a terminal or empty label")
 
     def __eq__(self, other: object) -> bool:
@@ -407,13 +407,27 @@ class _SizedEnumerator:
         self.memo: dict[tuple[str, Stack, int], tuple] = {}
 
     def subtrees(self, sym: str, stack: Stack, size: int):
-        key = (sym, stack, size)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if size < 2:
-            self.memo[key] = ()
-            return ()
+        """The memo entry of a key, run as a trampoline over _build
+        generators so that a chain of new keys does not recurse per level."""
+        top = (sym, stack, size)
+        frames = [] if top in self.memo else [(top, self._build(*top))]
+        sent = None
+        while frames:
+            key, gen = frames[-1]
+            try:
+                want = gen.send(sent)
+            except StopIteration as done:
+                self.memo[key] = sent = done.value
+                frames.pop()
+                continue
+            sent = self.memo.get(want)
+            if sent is None:
+                frames.append((want, self._build(*want)))
+        return self.memo[top]
+
+    def _build(self, sym: str, stack: Stack, size: int):
+        """The entry of one key; yields each child key it needs, in order,
+        and is sent back that key's entry."""
         out = []
         for pi, p in enumerate(self.g.productions):
             if p.lhs != sym:
@@ -438,7 +452,7 @@ class _SizedEnumerator:
                 dead = False
                 for idx, sz in zip(free, combo):
                     spec = specs[idx]
-                    subs = self.subtrees(spec.symbol, spec.stack, sz)
+                    subs = yield (spec.symbol, spec.stack, sz)
                     if not subs:
                         dead = True
                         break
@@ -458,9 +472,7 @@ class _SizedEnumerator:
                             seq = seq + node[0]
                     out.append((seq, NodeLabel(sym, stack), tuple(children)))
         out.sort(key=lambda n: n[0])
-        result = tuple(out)
-        self.memo[key] = result
-        return result
+        return tuple(out)
 
 
 def _compositions(total: int, parts: int, minimum: int):

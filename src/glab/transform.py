@@ -238,6 +238,33 @@ def cstructure_from_derivation(
     return cs, m
 
 
+def _value_strings(m: FeatureStructure, next_attr: str, idx_attr: str):
+    """A reader of nodes' value strings (see idx_lst) that shares one memo
+    across calls and walks with an explicit stack, not one frame per entry."""
+    memo: dict[int, tuple[str, ...]] = {}
+
+    def read(q: int) -> tuple[str, ...]:
+        todo, open_ = [q], set()
+        while todo:
+            node = todo.pop()
+            if node in memo:
+                continue
+            a, edges = m.alpha.get(node), m.delta.get(node, {})
+            if a is not None or idx_attr not in edges or next_attr not in edges:
+                memo[node] = (a,) if a is not None else ()
+            elif node in open_:  # both of its strings are read
+                open_.discard(node)
+                memo[node] = memo[edges[idx_attr]] + memo[edges[next_attr]]
+            else:
+                open_.add(node)
+                if edges[idx_attr] in open_ or edges[next_attr] in open_:
+                    raise PreconditionError("idx/next edges form a cycle; the string is undefined")
+                todo += (node, edges[next_attr], edges[idx_attr])
+        return memo[q]
+
+    return read
+
+
 def idx_lst(
     m: FeatureStructure, q: int, next_attr: str = NEXT_ATTR, idx_attr: str = IDX_ATTR
 ) -> tuple[str, ...]:
@@ -246,26 +273,12 @@ def idx_lst(
     the empty string.  The structure must be acyclic along these attributes."""
     if q not in set(m.nodes):
         raise GrammarError(f"no node {q} in this structure")
-    memo: dict[int, tuple[str, ...]] = {}
+    return _value_strings(m, next_attr, idx_attr)(q)
 
-    def go(node: int, trail: frozenset[int]) -> tuple[str, ...]:
-        if node in memo:
-            return memo[node]
-        if node in trail:
-            raise PreconditionError("idx/next edges form a cycle; the string is undefined")
-        a = m.alpha.get(node)
-        if a is not None:
-            memo[node] = (a,)
-            return memo[node]
-        edges = m.delta.get(node, {})
-        if idx_attr in edges and next_attr in edges:
-            out = go(edges[idx_attr], trail | {node}) + go(edges[next_attr], trail | {node})
-        else:
-            out = ()
-        memo[node] = out
-        return out
 
-    return go(q, frozenset())
+def _through_marker(s: tuple[str, ...], dollar: str) -> tuple[str, ...]:
+    """The smallest prefix of s ending in the marker, or () without one."""
+    return s[: s.index(dollar) + 1] if dollar in s else ()
 
 
 def idx_lst_dollar(
@@ -277,11 +290,7 @@ def idx_lst_dollar(
 ) -> tuple[str, ...]:
     """Smallest prefix of the node's value string ending in the marker, or
     the empty string when the marker never shows up."""
-    s = idx_lst(m, q, next_attr, idx_attr)
-    for i, v in enumerate(s):
-        if v == dollar:
-            return s[: i + 1]
-    return ()
+    return _through_marker(idx_lst(m, q, next_attr, idx_attr), dollar)
 
 
 def derivation_from_cstructure(
@@ -303,6 +312,7 @@ def derivation_from_cstructure(
     if not satisfies_set(m, collect_equations(cs)):
         raise PreconditionError("the structure does not satisfy the tree's instantiated equations")
 
+    read = _value_strings(m, NEXT_ATTR, IDX_ATTR)
     labels: dict[TreeAddress, object] = {}
     for a in cs.domain.sorted_addresses:
         if cs.domain.out_degree(a) == 0 and not a.is_root:
@@ -310,8 +320,7 @@ def derivation_from_cstructure(
         elif a.is_root:
             labels[a] = NodeLabel(cs.categories[a], ())
         else:
-            stack = idx_lst_dollar(m, m.node_of(a), marker, NEXT_ATTR, IDX_ATTR)
-            labels[a] = NodeLabel(cs.categories[a], stack)
+            labels[a] = NodeLabel(cs.categories[a], _through_marker(read(m.node_of(a)), marker))
     t = tree_of(labels)
     rep = validate_derivation_tree(g, t)
     if not rep.ok:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import GrammarError
@@ -69,51 +70,48 @@ def address(*digits: int) -> TreeAddress:
 
 @dataclass(frozen=True)
 class TreeDomain:
-    """A finite prefix-closed, left-sibling-closed set of tree addresses."""
+    """A finite prefix-closed, left-sibling-closed set of tree addresses;
+    construction fixes sorted_addresses and every address's daughters."""
 
     addresses: frozenset[TreeAddress]
 
     def __post_init__(self) -> None:
         if not self.addresses:
             raise GrammarError("a tree domain must contain the root")
-        # closure is tested on the digit tuples, building no TreeAddress
-        digits = {a.digits for a in self.addresses}
-        for a in self.addresses:
+        # one pass in address order (a mother before her daughters, a daughter
+        # before her right sisters) checks closure and records the daughters
+        ordered = tuple(sorted(self.addresses, key=attrgetter("digits")))
+        daughters: dict[tuple[int, ...], list[TreeAddress]] = {}
+        for a in ordered:
             d = a.digits
-            if d and d[:-1] not in digits:
-                raise GrammarError(f"tree domain is not prefix-closed at {a}")
-            if d and d[-1] > 1 and d[:-1] + (d[-1] - 1,) not in digits:
-                raise GrammarError(f"tree domain is not left-sibling-closed at {a}")
-
-    @cached_property
-    def sorted_addresses(self) -> tuple[TreeAddress, ...]:
-        return tuple(sorted(self.addresses))
-
-    @cached_property
-    def _child_counts(self) -> dict[TreeAddress, int]:
-        counts: dict[TreeAddress, int] = {a: 0 for a in self.addresses}
-        for a in self.addresses:
-            if not a.is_root:
-                p = a.parent
-                counts[p] = max(counts[p], a.digits[-1])
-        return counts
+            if d:
+                sisters = daughters.get(d[:-1])
+                if sisters is None:
+                    raise GrammarError(f"tree domain is not prefix-closed at {a}")
+                if d[-1] != len(sisters) + 1:
+                    raise GrammarError(f"tree domain is not left-sibling-closed at {a}")
+                sisters.append(a)
+            daughters[d] = []
+        object.__setattr__(self, "sorted_addresses", ordered)
+        object.__setattr__(self, "_children", {d: tuple(v) for d, v in daughters.items()})
 
     def out_degree(self, a: TreeAddress) -> int:
-        if a not in self.addresses:
-            raise GrammarError(f"address {a} is not in the domain")
-        return self._child_counts[a]
+        return len(self.children(a))
 
     def children(self, a: TreeAddress) -> tuple[TreeAddress, ...]:
-        return tuple(a.child(i) for i in range(1, self.out_degree(a) + 1))
+        try:
+            return self._children[a.digits]
+        except KeyError:
+            raise GrammarError(f"address {a} is not in the domain") from None
 
     @cached_property
     def leaves(self) -> tuple[TreeAddress, ...]:
         """All addresses of out-degree zero, in address order."""
-        return tuple(a for a in self.sorted_addresses if self._child_counts[a] == 0)
+        return tuple(a for a in self.sorted_addresses if not self._children[a.digits])
 
     @cached_property
     def internal(self) -> tuple[TreeAddress, ...]:
-        return tuple(a for a in self.sorted_addresses if self._child_counts[a] > 0)
+        return tuple(a for a in self.sorted_addresses if self._children[a.digits])
 
     @cached_property
     def height(self) -> int:

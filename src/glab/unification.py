@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Mapping, Union
 
 from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, SearchStats
@@ -472,7 +473,7 @@ def instantiate(schema: Schema, mother: TreeAddress, daughter: TreeAddress) -> f
 
 def collect_equations(cs: CStructure) -> frozenset[Equation]:
     """Union of the instantiated schemata of all non-root nodes."""
-    return _equations((cs.eqsets[a], a.parent, a) for a in cs.domain.sorted_addresses if not a.is_root)
+    return _equations((cs.eqsets[d], a, d) for a in cs.domain.internal for d in cs.domain.children(a))
 
 
 def generates_check(cs: CStructure) -> SolveResult:
@@ -700,19 +701,9 @@ def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:
     for p in g.productions:
         if len(p.daughters) == 1:
             succ.setdefault(p.mother, []).append(p.daughters[0].category)
-    state: dict[str, int] = {}
-
-    def cyclic(c: str) -> bool:
-        if state.get(c) == 2:
-            return False
-        if state.get(c) == 1:
-            return True
-        state[c] = 1
-        hit = any(cyclic(d) for d in succ.get(c, ()))
-        state[c] = 2
-        return hit
-
-    if any(cyclic(c) for c in list(succ)):
+    try:
+        TopologicalSorter(succ).prepare()  # finds a unit cycle without recursion
+    except CycleError:
         return max_nodes
     # n terminal leaves, their lexicon mothers, under n-1 branching nodes,
     # joined by unary chains of at most one node per category
@@ -1046,9 +1037,11 @@ def canonical_fs(cs: CStructure) -> SolveResult:
     demands: dict[Sequence, tuple[str, TreeAddress]] = {}
     next_sources: list[Sequence] = []
 
-    for x in cs.domain.sorted_addresses:
-        if x.is_root:
-            continue
+    # (mother, daughter) pairs in address order, read from the domain
+    todo = [(ROOT, d) for d in reversed(cs.domain.children(ROOT))]
+    while todo:
+        mother, x = todo.pop()
+        todo.extend((x, d) for d in reversed(cs.domain.children(x)))
         schema = cs.eqsets[x]
         if not schema:
             seqs[x] = None  # isolated named node
@@ -1064,19 +1057,17 @@ def canonical_fs(cs: CStructure) -> SolveResult:
                 pair = dpair
             elif pair != dpair:
                 raise PreconditionError(f"schema at {x} uses attribute pair {dpair}, elsewhere {pair}")
-        parent_seq = seqs[x.parent]
-        if parent_seq is None:
-            raise PreconditionError(f"node {x} hangs below an unmapped node")
+        # a mother's sequence is set and has 2 or more entries: her schema is
+        # nonempty, and at depth d < height she has seen at most d pops
+        mother_seq = seqs[mother]
         if kind == "copy":
-            seqs[x] = parent_seq
+            seqs[x] = mother_seq
             continue
         if kind == "pop":
-            if len(parent_seq) < 2:
-                raise GrammarError("internal error: sequence underflow while popping")
-            seqs[x] = parent_seq[1:]
-            demanded, at = parent_seq, x.parent
+            seqs[x] = mother_seq[1:]
+            demanded, at = mother_seq, mother
         else:
-            seqs[x] = (x,) + parent_seq
+            seqs[x] = (x,) + mother_seq
             demanded, at = seqs[x], x
         next_sources.append(demanded)
         assert value is not None

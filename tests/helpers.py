@@ -39,11 +39,9 @@ from glab import (
     copy_schema,
     domain_of,
     enumerate_derivations,
-    indexed_language_upto,
     mark_index_end,
     pop_schema,
     push_schema,
-    sug_language_upto,
 )
 from glab.indexed import terminal_symbols
 from glab.stackengine import POP
@@ -417,14 +415,6 @@ def indexed_language_by_trees(g: IndexedGrammar, maxlen: int, budget: Budget) ->
         if len(w) <= maxlen:
             words.add(w)
     return words
-
-
-def ugi_image_language(g: SimpleUnificationGrammar, maxlen: int, budget: Budget):
-    return sug_language_upto(g, maxlen, budget)
-
-
-def indexed_language(g: IndexedGrammar, maxlen: int, budget: Budget):
-    return indexed_language_upto(g, maxlen, budget)
 
 
 def all_words(terminals, maxlen):

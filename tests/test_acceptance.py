@@ -17,6 +17,7 @@ from glab import (
     Budget,
     canonical_fs,
     generates_check,
+    indexed_language_upto,
     indexed_membership,
     mark_index_end,
     parse_indexed_grammar,
@@ -34,7 +35,6 @@ from glab.cli import main as cli_main
 from helpers import (
     FUZZ_BUDGET,
     fs_isomorphic,
-    indexed_language,
     oracle_satisfiable,
     rand_equation_set,
     rand_general_ugi,
@@ -42,7 +42,6 @@ from helpers import (
     rand_reduced_ugi,
     sample_until,
     small_term_set,
-    ugi_image_language,
 )
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
@@ -126,8 +125,8 @@ def test_criterion_4_random_grammars_agree_with_their_images(capsys):
         for i in range(100):
             gi = rand_reduced_marked_indexed(rng)
             gu, _ = u_transform(gi)
-            left = indexed_language(gi, 4, FUZZ_BUDGET)
-            right = ugi_image_language(gu, 4, FUZZ_BUDGET)
+            left = indexed_language_upto(gi, 4, FUZZ_BUDGET)
+            right = sug_language_upto(gu, 4, FUZZ_BUDGET)
             assert set(left.words) == set(right.words), f"instance {i}: {gi}"
         elapsed = time.perf_counter() - t0
         assert elapsed < 600.0, f"{elapsed:.1f}s"
@@ -164,8 +163,8 @@ def test_criterion_7_rewrites_preserve_the_bounded_language(capsys):
         rng = random.Random(70726)
         for i in range(50):
             gi = rand_reduced_marked_indexed(rng)
-            before = indexed_language(gi, 4, FUZZ_BUDGET)
-            after = indexed_language(mark_index_end(gi), 4, FUZZ_BUDGET)
+            before = indexed_language_upto(gi, 4, FUZZ_BUDGET)
+            after = indexed_language_upto(mark_index_end(gi), 4, FUZZ_BUDGET)
             assert set(before.words) == set(after.words), f"mark instance {i}"
         for i in range(50):
             gu = rand_general_ugi(rng)

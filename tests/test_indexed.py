@@ -335,6 +335,31 @@ def test_enumeration_of_deep_unary_chains_does_not_recurse_per_level():
     assert validate_derivation_tree(g, trees[-1]).ok
 
 
+def test_enumeration_of_deep_push_chains_does_not_recurse_per_level():
+    # every level has a new stack, so no memo entry is ever reused
+    sym = SymbolTable(("S",), ("a",), ("f",))
+    g = IndexedGrammar(sym, (Push("S", "S", "f"), Plain("S", ("a",))), "S")
+    with shallow_recursion():
+        trees = list(enumerate_derivations(g, Budget(max_nodes=200)))
+    assert [len(t.domain) for t in trees] == list(range(2, 201))
+    assert trees[-1].domain.height == 199
+    assert trees[-1].stack_at(address(*[1] * 198)) == ("f",) * 198
+    assert validate_derivation_tree(g, trees[-1]).ok
+
+
+def test_enumeration_stopped_by_max_steps_reports_it():
+    g = lockstep_grammar()
+    stats = SearchStats()
+    trees = list(enumerate_derivations(g, Budget(max_nodes=30, max_steps=5), stats))
+    assert stats.exhausted and stats.reasons == ["max_steps"]
+    assert all(validate_derivation_tree(g, t).ok for t in trees)
+
+
+def test_budget_fields_must_be_positive():
+    with pytest.raises(GrammarError, match="max_nodes must be positive"):
+        Budget(max_nodes=0)
+
+
 def test_enumeration_respects_tree_cap():
     g = lockstep_grammar()
     stats = SearchStats()

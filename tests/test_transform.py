@@ -33,6 +33,7 @@ from glab import (
     indexed_membership,
     mark_index_end,
     marked_index_end_check,
+    parse_indexed_grammar,
     pop_schema,
     push_schema,
     reduced_form_check,
@@ -49,7 +50,7 @@ from glab import (
     validate_derivation_tree,
 )
 
-from helpers import FUZZ_BUDGET, all_words, fs_isomorphic, rand_reduced_marked_indexed, rand_reduced_ugi
+from helpers import FUZZ_BUDGET, all_words, fs_isomorphic, rand_reduced_marked_indexed, rand_reduced_ugi, shallow_recursion
 from test_indexed import doubling_grammar, lockstep_grammar
 
 
@@ -208,6 +209,22 @@ def test_reverse_u_names_the_lexicon_when_the_start_symbol_has_a_word():
     report = ugi_check(g)
     assert report.is_ugi and report.is_reduced and report.has_sink_mapped_root
     with pytest.raises(PreconditionError, match="the start symbol may not occur in the lexicon"):
+        reverse_u(g)
+
+
+def test_reverse_u_names_the_offender_of_a_grammar_that_is_not_reduced():
+    # stack-form, but T -> U is a unary copy rule
+    g = SimpleUnificationGrammar(
+        ("S", "T", "U"), ("a",), ("next", "idx"), ("$",),
+        (
+            UProduction("S", (Daughter("T", push_schema("next", "idx", "$")),)),
+            UProduction("T", (Daughter("U", copy_schema()),)),
+        ),
+        (LexRule("U", "a", frozenset()),),
+        "S",
+    )
+    assert ugi_check(g).is_ugi and not ugi_check(g).is_reduced
+    with pytest.raises(PreconditionError, match="not reduced; offender: production 1: not a unary push/pop or binary copy-copy rule"):
         reverse_u(g)
 
 
@@ -383,3 +400,29 @@ def test_tree_conversions_round_trip_on_fuzzed_grammars():
             assert derivation_from_cstructure(g, cs, least.model) == t
             rounds += 1
     assert rounds >= 30
+
+
+# a^n pushes n f's, then pops one per a: stacks n+2 deep, one per tree level
+DEEP_STACKS = """\
+nonterminals S0 S T P Q E X
+terminals a
+indices $ f g
+start S0
+S0 -> S ^$
+S -> T ^g
+T -> T ^f
+T -> P E
+P ^f -> Q
+Q -> X P
+P ^g -> E
+E -> _
+X -> a
+"""
+
+
+def test_tree_conversions_of_a_deep_witness_do_not_recurse_per_stack_entry():
+    g = parse_indexed_grammar(DEEP_STACKS)
+    t = indexed_membership(g, "a" * 150).witness
+    assert len(t.domain) == 758
+    with shallow_recursion():
+        assert derivation_from_cstructure(g, *cstructure_from_derivation(g, t)) == t

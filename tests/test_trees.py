@@ -70,6 +70,16 @@ def test_domain_queries():
     assert address(2) in d
 
 
+def test_daughters_are_recorded_once_and_foreign_addresses_rejected():
+    d = domain_of({ROOT, address(1), address(2), address(1, 1)})
+    assert d.children(ROOT) is d.children(ROOT)
+    assert d.children(address(2)) == ()
+    with pytest.raises(GrammarError, match="^address 3 is not in the domain$"):
+        d.children(address(3))
+    with pytest.raises(GrammarError, match="^address 21 is not in the domain$"):
+        d.out_degree(address(2, 1))
+
+
 # small random domains: grow each node's child count independently
 @st.composite
 def domains(draw):

@@ -63,7 +63,7 @@ from glab import (
     well_defined_check,
 )
 
-from glab.unification import _size_chart
+from glab.unification import _size_ceiling, _size_chart
 
 from helpers import FUZZ_BUDGET, all_words, rand_general_ugi, rand_reduced_ugi, rand_ugi_cstructure, shallow_recursion
 
@@ -404,6 +404,27 @@ def test_sug_language_field_sweep():
     res = sug_language_upto(g, 2)
     assert set(res.words) == {("this", "dog"), ("these", "dogs")}
     assert not res.exhausted
+
+
+def test_sug_language_upto_rejects_a_negative_bound():
+    with pytest.raises(GrammarError, match="maxlen must be >= 0"):
+        sug_language_upto(agreement_grammar(), -1)
+
+
+def _copy_chain(links: int, closed: bool) -> SimpleUnificationGrammar:
+    # S -> a, plus the unit chain M0 -> M1 -> ... (back to M0 when closed)
+    names = [f"M{i}" for i in range(links + 1)]
+    targets = names[1:] + (names[:1] if closed else [])
+    chain = tuple(UProduction(m, (Daughter(t, copy_schema()),)) for m, t in zip(names, targets))
+    return SimpleUnificationGrammar(("S", *names), ("a",), (), (), chain, (LexRule("S", "a", frozenset()),), "S")
+
+
+def test_unit_cycle_test_walks_long_chains_without_recursion():
+    with shallow_recursion():
+        assert _size_ceiling(_copy_chain(299, closed=False), 1, 4096) < 4096
+        assert _size_ceiling(_copy_chain(299, closed=True), 1, 4096) == 4096
+        r = sug_membership(_copy_chain(299, closed=False), "a")
+    assert r.member and not r.exhausted
 
 
 # --------------------------------------------------------------------------
@@ -760,6 +781,20 @@ def test_canonical_fs_preconditions():
         {address(1): frozenset({ArrowValEq(UP, ("num",), "sg")}), address(1, 1): frozenset()},
     )
     with pytest.raises(PreconditionError):
+        canonical_fs(cs)
+
+
+def test_canonical_fs_rejects_two_attribute_pairs():
+    cs = CStructure(
+        domain_of({ROOT, address(1), address(1, 1), address(1, 1, 1)}),
+        {ROOT: "X", address(1): "X", address(1, 1): "X", address(1, 1, 1): "a"},
+        {
+            address(1): push_schema("next", "idx", "f"),
+            address(1, 1): pop_schema("rest", "top", "f"),
+            address(1, 1, 1): frozenset(),
+        },
+    )
+    with pytest.raises(PreconditionError, match=r"schema at 11 uses attribute pair \('rest', 'top'\), elsewhere \('next', 'idx'\)"):
         canonical_fs(cs)
 
 
