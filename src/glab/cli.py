@@ -162,19 +162,27 @@ def _membership(g: Grammar, word: tuple[str, ...], budget: Budget) -> Membership
     return sug_membership(g, word, budget)
 
 
-def cmd_member(args: argparse.Namespace) -> int:
+def _decide(args: argparse.Namespace) -> tuple[Grammar, MembershipResult]:
+    """Decide membership of the word ('_' is empty); print a non-member's verdict."""
     g = _load(args.path)
     word = g.parse_word(args.word) if args.word != "_" else ()
     r = _membership(g, word, _budget(args))
-    print(f"member: {_yesno(r.member)}")
-    if r.member:
-        print(_tree_text(r.witness) if isinstance(g, IndexedGrammar) else _cs_text(r.witness))
-        if r.model is not None:
-            print(f"model: {len(r.model.nodes)} nodes")
-        return 0
-    if r.exhausted:
-        print("budget-exhausted: yes")
-    return 2
+    if not r.member:
+        print("member: no")
+        if r.exhausted:
+            print("budget-exhausted: yes")
+    return g, r
+
+
+def cmd_member(args: argparse.Namespace) -> int:
+    g, r = _decide(args)
+    if not r.member:
+        return 2
+    print("member: yes")
+    print(_tree_text(r.witness) if isinstance(g, IndexedGrammar) else _cs_text(r.witness))
+    if r.model is not None:
+        print(f"model: {len(r.model.nodes)} nodes")
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -277,13 +285,8 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    g = _load(args.path)
-    word = g.parse_word(args.word) if args.word != "_" else ()
-    r = _membership(g, word, _budget(args))
+    g, r = _decide(args)
     if not r.member:
-        print("member: no")
-        if r.exhausted:
-            print("budget-exhausted: yes")
         return 2
     dot = derivation_dot(r.witness) if isinstance(g, IndexedGrammar) else cstructure_with_model_dot(r.witness, r.model)
     if args.dot:
@@ -355,10 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         return args.func(args)
-    except GlabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (GlabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

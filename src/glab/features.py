@@ -91,6 +91,40 @@ def delta_path(m: FeatureStructure, q: Node, path: Path) -> Node | None:
     return cur
 
 
+def _first_cycle(starts: Iterable[Node], succ) -> tuple[Node, Path] | None:
+    """The first cycle that a depth-first search meets, as the node it
+    returns to and the attributes that lead from there back to it; None when
+    no node reaches itself.
+
+    succ[q] maps each attribute of node q to its target.  The search starts
+    from each of starts in turn, skipping nodes an earlier start reached,
+    and follows a node's attributes in the order of succ[q].  It keeps an
+    explicit stack, so long chains need no recursion.
+    """
+    state: dict[Node, int] = {}  # 1 = on the current path, 2 = done
+    for start in starts:
+        if start in state:
+            continue
+        state[start] = 1
+        # (node, attribute into it, its edges not yet followed) per step of the path
+        path = [(start, None, iter(succ[start].items()))]
+        while path:
+            q, _, todo = path[-1]
+            for a, r in todo:
+                seen = state.get(r)
+                if seen == 1:
+                    k = next(k for k, step in enumerate(path) if step[0] == r)
+                    return r, tuple(step[1] for step in path[k + 1 :]) + (a,)
+                if seen is None:
+                    state[r] = 1
+                    path.append((r, a, iter(succ[r].items())))
+                    break
+            else:
+                path.pop()
+                state[q] = 2
+    return None
+
+
 @dataclass(frozen=True)
 class WellDefinedReport:
     describable: bool
@@ -124,41 +158,7 @@ def well_defined_check(m: FeatureStructure) -> WellDefinedReport:
 
     atom_with_edge = next((q for q in m.nodes if q in m.alpha and m.out_edges(q)), None)
 
-    cycle: tuple[Node, Path] | None = None
-    state: dict[Node, int] = {}  # 1 = on current path, 2 = done
-    for start in m.nodes:
-        if state.get(start):
-            continue
-        # iterative DFS keeping the attribute path to each frame
-        stack: list[tuple[Node, list[tuple[str, Node]]]] = [(start, sorted(m.out_edges(start).items()))]
-        state[start] = 1
-        trail: list[tuple[Node, str]] = []
-        while stack:
-            q, edges = stack[-1]
-            if not edges:
-                stack.pop()
-                state[q] = 2
-                if trail:
-                    trail.pop()
-                continue
-            a, r = edges.pop(0)
-            if state.get(r) == 1:
-                # cycle: from r, follow the trail back to q, then a
-                attrs = []
-                seen_r = False
-                for node, attr in trail + [(q, a)]:
-                    if node == r:
-                        seen_r = True
-                    if seen_r:
-                        attrs.append(attr)
-                cycle = (r, tuple(attrs))
-                break
-            if state.get(r) != 2:
-                state[r] = 1
-                trail.append((q, a))
-                stack.append((r, sorted(m.out_edges(r).items())))
-        if cycle is not None:
-            break
+    cycle = _first_cycle(m.nodes, {q: dict(sorted(m.out_edges(q).items())) for q in m.nodes})
 
     return WellDefinedReport(
         describable=unreachable is None,
@@ -379,30 +379,12 @@ class _Closure:
         can still be made cyclic or clashing by equations on its own paths."""
         roots = self.roots()
         for r in roots:
-            vs = self.values[r]
-            if len(vs) > 1 or (vs and self.succ[r]):
+            vs, row = self.values[r], self.succ[r]
+            if len(vs) > 1 or (vs and row):
                 return False
-        state: dict[int, int] = {}  # 1 = on the current path, 2 = done
-        for start in roots:
-            if start in state:
-                continue
-            state[start] = 1
-            stack = [(start, iter(self.succ[start].values()))]
-            while stack:
-                q, targets = stack[-1]
-                for t in targets:
-                    r = self.find(t)
-                    seen = state.get(r)
-                    if seen == 1:
-                        return False
-                    if seen is None:
-                        state[r] = 1
-                        stack.append((r, iter(self.succ[r].values())))
-                        break
-                else:
-                    stack.pop()
-                    state[q] = 2
-        return True
+            for a, t in row.items():
+                row[a] = self.find(t)  # the same class, named by its representative
+        return _first_cycle(roots, self.succ) is None
 
     def project(self, i: int) -> Rooted:
         """The rooted structure of the classes reachable from i's class."""

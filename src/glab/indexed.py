@@ -391,6 +391,43 @@ def validate_derivation_tree(g: IndexedGrammar, t: DerivationTree) -> Validation
 _LEAF = "leaf"
 
 
+def _memo_walk(memo: dict, build, top):
+    """The memo entry of top.  A build(*key) generator yields each key whose
+    entry it needs, smaller than its own, is sent back that entry and
+    returns its own; they run as a trampoline, so that a chain of new keys
+    does not recurse per level.  Every entry computed is stored in memo."""
+    if top in memo:
+        return memo[top]
+    keys, gens = [top], [build(*top)]
+    sent = None
+    while gens:
+        try:
+            want = gens[-1].send(sent)
+        except StopIteration as done:
+            memo[keys.pop()] = sent = done.value
+            gens.pop()
+            continue
+        sent = memo.get(want)
+        if sent is None:
+            keys.append(want)
+            gens.append(build(*want))
+    return sent
+
+
+def _capped(groups, budget: Budget, stats: SearchStats) -> Iterator[tuple]:
+    """The nodes of each group in turn, within budget.max_trees nodes; the
+    stream also stops after a group whose search a cap cut short."""
+    for group in groups:
+        for node in group:
+            if stats.trees >= budget.max_trees:
+                stats.mark_exhausted("max_trees")
+                return
+            stats.trees += 1
+            yield node
+        if stats.exhausted:
+            return
+
+
 class _SizedEnumerator:
     """Memoized enumeration of subtrees with an exact node count.
 
@@ -407,23 +444,7 @@ class _SizedEnumerator:
         self.memo: dict[tuple[str, Stack, int], tuple] = {}
 
     def subtrees(self, sym: str, stack: Stack, size: int):
-        """The memo entry of a key, run as a trampoline over _build
-        generators so that a chain of new keys does not recurse per level."""
-        top = (sym, stack, size)
-        frames = [] if top in self.memo else [(top, self._build(*top))]
-        sent = None
-        while frames:
-            key, gen = frames[-1]
-            try:
-                want = gen.send(sent)
-            except StopIteration as done:
-                self.memo[key] = sent = done.value
-                frames.pop()
-                continue
-            sent = self.memo.get(want)
-            if sent is None:
-                frames.append((want, self._build(*want)))
-        return self.memo[top]
+        return _memo_walk(self.memo, self._build, (sym, stack, size))
 
     def _build(self, sym: str, stack: Stack, size: int):
         """The entry of one key; yields each child key it needs, in order,
@@ -514,15 +535,9 @@ def enumerate_derivations(
     """
     stats = stats if stats is not None else SearchStats()
     enum = _SizedEnumerator(g, budget, stats)
-    for size in range(2, budget.max_nodes + 1):
-        for node in enum.subtrees(g.start, (), size):
-            if stats.trees >= budget.max_trees:
-                stats.mark_exhausted("max_trees")
-                return
-            stats.trees += 1
-            yield _materialize(node)
-        if stats.exhausted:
-            return
+    by_size = (enum.subtrees(g.start, (), size) for size in range(2, budget.max_nodes + 1))
+    for node in _capped(by_size, budget, stats):
+        yield _materialize(node)
 
 
 # --------------------------------------------------------------------------

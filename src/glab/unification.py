@@ -48,7 +48,7 @@ from .features import (
     solve,
     solve_rooted,
 )
-from .indexed import ValidationReport, _check_symbol, fresh_symbol
+from .indexed import _LEAF, ValidationReport, _capped, _check_symbol, _memo_walk, fresh_symbol
 from .stackengine import Child, Fixpoint, Rule, Word, end_marker, reduced, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
 
@@ -485,8 +485,6 @@ def generates_check(cs: CStructure) -> SolveResult:
 # --------------------------------------------------------------------------
 # C-structure enumeration (reference engine)
 
-_LEAF = "leaf"
-
 
 def _sizes(mask: int) -> Iterator[int]:
     """The sizes in a size bitmask, ascending."""
@@ -582,12 +580,11 @@ class _SizedCsEnumerator:
         self.structures: dict[int, Rooted | None] = {}
 
     def subtrees(self, cat: str, i: int, j: int, size: int):
-        key = (cat, i, j, size)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if not self.chart.get((cat, i, j), 0) >> size & 1:
-            return ()
+        return _memo_walk(self.memo, self._build, (cat, i, j, size))
+
+    def _build(self, cat: str, i: int, j: int, size: int):
+        """The entry of a key the size chart admits; a generator for
+        _memo_walk, yielding each daughter key it needs."""
         out = []
         n_prods = len(self.g.productions)
         for pi, p in enumerate(self.g.productions):
@@ -597,13 +594,13 @@ class _SizedCsEnumerator:
             if self.stats.steps > self.budget.max_steps:
                 self.stats.mark_exhausted("max_steps")
                 break
-            for combo in self._arrangements(p.daughters, i, j, size - 1):
+            schemas = [d.schema for d in p.daughters]
+            for combo in (yield from self._arrangements(p.daughters, i, j, size - 1)):
                 for chosen in itertools.product(*combo):
                     seq: tuple[int, ...] = (pi,)
                     for node in chosen:
                         seq = seq + node[0]
-                    children = tuple((node, d.schema) for node, d in zip(chosen, p.daughters))
-                    out.append((seq, cat, children))
+                    out.append((seq, cat, tuple(zip(chosen, schemas))))
         if not self.stats.exhausted and size == 2:
             for li, r in enumerate(self.g.lexicon):
                 if r.mother != cat:
@@ -613,29 +610,37 @@ class _SizedCsEnumerator:
                     leaf = (_LEAF, r.word)
                     out.append(((n_prods + li,), cat, ((leaf, r.schema),)))
         out.sort(key=lambda n: n[0])
-        result = tuple(out)
-        self.memo[key] = result
-        return result
+        return tuple(out)
 
     def _arrangements(self, daughters, i: int, j: int, nodes_left: int):
-        """All ways to give each daughter a contiguous slice and a size."""
-        if len(daughters) == 1:
-            subs = self.subtrees(daughters[0].category, i, j, nodes_left)
-            if subs:
-                yield (subs,)
-            return
+        """All ways to give each daughter a contiguous slice and a size that
+        the size chart admits, as tuples of the daughters' entries; yields
+        each key whose entry is not yet in the memo."""
         d = daughters[0]
+        if len(daughters) == 1:
+            if not self.chart.get((d.category, i, j), 0) >> nodes_left & 1:
+                return []
+            key = (d.category, i, j, nodes_left)
+            subs = self.memo.get(key)
+            if subs is None:
+                subs = yield key
+            return [(subs,)] if subs else []
+        out = []
         # every later daughter takes at least two nodes
         most = nodes_left - 2 * (len(daughters) - 1)
         if most < 2:
-            return
+            return out
         for mid in range(i, j + 1):
             for sz in _sizes(self.chart.get((d.category, i, mid), 0) & (1 << most + 1) - 1):
-                subs = self.subtrees(d.category, i, mid, sz)
-                if not subs:
-                    continue
-                for rest in self._arrangements(daughters[1:], mid, j, nodes_left - sz):
-                    yield (subs,) + rest
+                key = (d.category, i, mid, sz)
+                subs = self.memo.get(key)
+                if subs is None:
+                    subs = yield key
+                if subs:
+                    rest = yield from self._arrangements(daughters[1:], mid, j, nodes_left - sz)
+                    for r in rest:
+                        out.append((subs,) + r)
+        return out
 
     def rooted(self, node) -> Rooted | None:
         """The rooted structure of a memo entry: the least model of its
@@ -676,15 +681,8 @@ class _SizedCsEnumerator:
         """The trees of the start category over the whole word, by size and
         then rule sequence, within budget.max_trees."""
         n = len(self.word)
-        for size in _sizes(self.chart.get((self.g.start, 0, n), 0)):
-            for node in self.subtrees(self.g.start, 0, n, size):
-                if self.stats.trees >= self.budget.max_trees:
-                    self.stats.mark_exhausted("max_trees")
-                    return
-                self.stats.trees += 1
-                yield node
-            if self.stats.exhausted:
-                return
+        sizes = _sizes(self.chart.get((self.g.start, 0, n), 0))
+        return _capped((self.subtrees(self.g.start, 0, n, size) for size in sizes), self.budget, self.stats)
 
 
 def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:

@@ -40,6 +40,7 @@ from glab import (
     domain_of,
     enumerate_derivations,
     mark_index_end,
+    parse_unification_grammar,
     pop_schema,
     push_schema,
 )
@@ -420,3 +421,16 @@ def indexed_language_by_trees(g: IndexedGrammar, maxlen: int, budget: Budget) ->
 def all_words(terminals, maxlen):
     for n in range(maxlen + 1):
         yield from product(terminals, repeat=n)
+
+
+def unary_chain(links: int, empty_entry: bool = False) -> SimpleUnificationGrammar:
+    """S -> C0, Ci -> Ci+1 up to C(links-1) -> a, all with empty schemata;
+    with empty_entry, also an unreachable lex E -> _, which makes the size
+    ceiling the node cap."""
+    cats = [f"C{i}" for i in range(links)]
+    lines = [f"nonterminals S {' '.join(cats)}{' E' if empty_entry else ''}", "terminals a", "start S"]
+    lines += [f"rule {m} -> {d} {{ }}" for m, d in zip(["S"] + cats, cats)]
+    lines.append(f"lex {cats[-1]} -> a {{ }}")
+    if empty_entry:
+        lines.append("lex E -> _ { }")
+    return parse_unification_grammar("\n".join(lines) + "\n")

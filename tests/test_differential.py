@@ -100,3 +100,32 @@ def test_node_capped_languages_of_example1_are_complete():
         assert f"example1.ixg/{label}/language/{maxlen}" in ids
         lang = differential._stack_language(ex1, maxlen, budget)
         assert not lang["exhausted"] and lang["reasons"] == [] and len(lang["words"]) == count
+
+
+def test_record_writes_a_raising_question_as_its_error_and_goes_on(tmp_path, monkeypatch, capsys):
+    def deep(n):
+        return deep(n + 1)
+
+    def questions():
+        yield "q1", deep, (0,)
+        yield "q2", lambda k: {"member": k > 0}, (1,)
+
+    monkeypatch.setattr(differential, "questions", questions)
+    out = tmp_path / "rec"
+    assert differential.record(out) == 0
+    assert [json.loads(line) for line in out.read_text().splitlines()] == [
+        {"id": "q1", "error": "RecursionError"},
+        {"id": "q2", "member": True},
+    ]
+    assert capsys.readouterr().err.startswith("recorded 2 answers")
+    # an answer that raised on one side differs in its error field
+    answered = _write(tmp_path / "answered", [{"id": "q1", "member": True}, {"id": "q2", "member": True}])
+    assert differential.compare(out, answered, set()) == 1
+    out_lines, err = capsys.readouterr()
+    assert out_lines.splitlines() == ['q1: error: "RecursionError" != null', "q1: member: null != true"]
+    assert err.splitlines() == ["compared 2 answers, 1 differ", "error: 1", "member: 1"]
+
+
+def test_questions_include_the_long_unary_chain():
+    ids = [qid for qid, _, _ in differential.questions()]
+    assert [qid for qid in ids if qid.startswith("chain")] == ["chain600/a/member", "chain600/a/stream", "chain600/language/1"]

@@ -23,10 +23,14 @@ on top of it:
   structures, trees, steps, exhausted, reasons), sug_membership and
   sug_language_upto;
 - grammars with arbitrary schemata from tests/helpers.py, every word up to
-  length 3: the stream and sug_membership.
+  length 3: the stream and sug_membership;
+- the unary chain S -> C0 -> ... -> C599 -> a of tests/helpers.py: the
+  membership of a, its stream and the language to length 1.
 
 A membership also records the states, steps and improved of its search when
-its result carries stats, and leaves them out when it does not.
+its result carries stats, and leaves them out when it does not.  A question
+that raises is recorded as {"id": ..., "error": <the exception's type>},
+and the run goes on.
 
 The questions to the stack engine, where a language records the words,
 exhausted, reasons and the search's states, steps and improved, and a
@@ -81,6 +85,7 @@ FIXTURE_BUDGETS = {
 ARBITRARY_SEED = 1995
 ARBITRARY_GRAMMARS = 150
 ARBITRARY_BUDGET = Budget(max_nodes=9, max_trees=200)
+CHAIN_LINKS = 600
 DEEP_SEEDS = (1, 2, 3)
 STACK_FIXTURE_BUDGETS = {
     "default": glab.DEFAULT_BUDGET,
@@ -220,6 +225,16 @@ def _arbitrary_questions():
             key = f"arbitrary/{k}/{_word_id(g, word)}"
             yield f"{key}/stream", _stream, (g, word, ARBITRARY_BUDGET)
             yield f"{key}/member", _membership, (g, word, ARBITRARY_BUDGET)
+
+
+def _chain_questions():
+    from helpers import unary_chain
+
+    g = unary_chain(CHAIN_LINKS)
+    key = f"chain{CHAIN_LINKS}"
+    yield f"{key}/a/member", _membership, (g, "a", glab.DEFAULT_BUDGET)
+    yield f"{key}/a/stream", _stream, (g, "a", glab.DEFAULT_BUDGET)
+    yield f"{key}/language/1", _language, (g, 1, glab.DEFAULT_BUDGET)
 
 
 def _tree_text(t) -> str:
@@ -373,6 +388,7 @@ def questions():
         yield from _sweep_questions(seed)
     yield from _fixture_questions()
     yield from _arbitrary_questions()
+    yield from _chain_questions()
     yield from _fuzz_pool_questions()
     for seed in DEEP_SEEDS:
         yield from _deep_questions(seed)
@@ -386,7 +402,11 @@ def record(out: Path) -> int:
     count = 0
     with open(out, "w", encoding="utf-8") as f:
         for qid, ask, args in questions():
-            f.write(json.dumps({"id": qid, **ask(*args)}, sort_keys=True) + "\n")
+            try:
+                answer = ask(*args)
+            except Exception as e:
+                answer = {"error": type(e).__name__}
+            f.write(json.dumps({"id": qid, **answer}, sort_keys=True) + "\n")
             count += 1
     print(f"recorded {count} answers from {Path(glab.__file__).parent}", file=sys.stderr)
     return 0
