@@ -10,21 +10,13 @@ is deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .budget import Budget, LanguageResult, MembershipResult
-from .dot import cstructure_with_model_dot, derivation_dot
+from .budget import DEFAULT_BUDGET, Budget, LanguageResult, MembershipResult
 from .errors import GlabError
-from .formats import (
-    parse_indexed_grammar,
-    parse_unification_grammar,
-    print_indexed_grammar,
-    print_unification_grammar,
-    render_correspondence,
-)
 from .indexed import (
     DerivationTree,
     IndexedGrammar,
@@ -34,34 +26,40 @@ from .indexed import (
     marked_index_end_check,
     reduced_form_check,
 )
-from .transform import reverse_u, u_transform
-from .unification import (
-    CStructure,
-    SimpleUnificationGrammar,
-    format_schema,
-    sink_map_root,
-    sug_language_upto,
-    sug_membership,
-    ugi_check,
-    ugi_membership,
-    ugi_normalize,
-)
 
-Grammar = Union[IndexedGrammar, SimpleUnificationGrammar]
+# Each command imports the unification, transform, DOT and JSON code in the
+# branch that runs it, so a command on an .ixg grammar loads none of them.
+if TYPE_CHECKING:
+    from .unification import CStructure, SimpleUnificationGrammar
+
+Grammar = Union[IndexedGrammar, "SimpleUnificationGrammar"]
 
 
 def _load(path: str) -> Grammar:
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
     if p.suffix == ".ixg":
-        return parse_indexed_grammar(text)
-    if p.suffix == ".ugr":
-        return parse_unification_grammar(text)
-    raise GlabError(f"cannot tell the grammar kind of {path!r}; use .ixg or .ugr")
+        from .formats import parse_indexed_grammar as parse
+    elif p.suffix == ".ugr":
+        from .formats import parse_unification_grammar as parse
+    else:
+        raise GlabError(f"cannot tell the grammar kind of {path!r}; use .ixg or .ugr")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise GlabError(f"{path!r} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return parse(text)
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    return Budget(max_nodes=args.budget) if args.budget is not None else Budget()
+    """A Budget with each cap given on the command line; the rest default."""
+    given = {f.name: getattr(args, f.name) for f in fields(Budget)}
+    return Budget(**{name: value for name, value in given.items() if value is not None})
+
+
+def _print_json(obj) -> None:
+    import json
+
+    print(json.dumps(obj))
 
 
 def _render(g: Grammar, word: tuple[str, ...]) -> str:
@@ -71,6 +69,8 @@ def _render(g: Grammar, word: tuple[str, ...]) -> str:
 def _language(g: Grammar, maxlen: int, budget: Budget) -> LanguageResult:
     if isinstance(g, IndexedGrammar):
         return indexed_language_upto(g, maxlen, budget)
+    from .unification import sug_language_upto
+
     return sug_language_upto(g, maxlen, budget)
 
 
@@ -88,13 +88,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         red = reduced_form_check(g)
         marked = marked_index_end_check(g)
         if args.json:
-            print(json.dumps({
+            _print_json({
                 "format": "indexed",
                 "rules": len(g.productions),
                 "reduced_form": red.is_reduced,
                 "reduced_offenders": list(red.offenders),
                 "marked_index_end": marked,
-            }))
+            })
             return 0
         print("format: indexed")
         print(f"rules: {len(g.productions)}")
@@ -103,9 +103,11 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"  offender rule {k}: {g.productions[k]}")
         print(f"marked-index-end: {_yesno(marked)}")
         return 0
+    from .unification import ugi_check
+
     rep = ugi_check(g)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "format": "unification",
             "rules": len(g.productions),
             "lexicon": len(g.lexicon),
@@ -113,7 +115,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "reduced_form": rep.is_reduced,
             "sink_mapped_root": rep.has_sink_mapped_root,
             "offenders": [list(o) for o in rep.offenders],
-        }))
+        })
         return 0
     print("format: unification")
     print(f"rules: {len(g.productions)}")
@@ -143,6 +145,8 @@ def _tree_text(t: DerivationTree) -> str:
 
 
 def _cs_text(cs: CStructure) -> str:
+    from .unification import format_schema
+
     lines = []
     for a in cs.domain.sorted_addresses:
         indent = "  " * a.depth
@@ -157,6 +161,8 @@ def _cs_text(cs: CStructure) -> str:
 def _membership(g: Grammar, word: tuple[str, ...], budget: Budget) -> MembershipResult:
     if isinstance(g, IndexedGrammar):
         return indexed_membership(g, word, budget)
+    from .unification import sug_membership, ugi_check, ugi_membership
+
     if ugi_check(g).is_ugi:
         return ugi_membership(g, word, budget)
     return sug_membership(g, word, budget)
@@ -193,11 +199,11 @@ def cmd_enum(args: argparse.Namespace) -> int:
     g = _load(args.path)
     result = _language(g, args.max_len, _budget(args))
     if args.json:
-        print(json.dumps({
+        _print_json({
             "maxlen": args.max_len,
             "words": [g.render_word(w) for w in result.words],
             "exhausted": result.exhausted,
-        }))
+        })
     else:
         for w in result.words:
             print(_render(g, w))
@@ -217,19 +223,29 @@ def cmd_transform(args: argparse.Namespace) -> int:
     op = args.op
     if op in ("mark-end", "u") and not isinstance(g, IndexedGrammar):
         raise GlabError(f"--op {op} needs an indexed (.ixg) grammar")
-    if op in ("reverse-u", "ugi-normalize", "sink-map") and not isinstance(g, SimpleUnificationGrammar):
+    if op in ("reverse-u", "ugi-normalize", "sink-map") and isinstance(g, IndexedGrammar):
         raise GlabError(f"--op {op} needs a unification (.ugr) grammar")
+    from .formats import print_indexed_grammar, print_unification_grammar, render_correspondence
+
     if op == "mark-end":
         out = print_indexed_grammar(mark_index_end(g))
     elif op == "u":
+        from .transform import u_transform
+
         gu, corr = u_transform(g)
         out = print_unification_grammar(gu) + render_correspondence(corr)
     elif op == "reverse-u":
+        from .transform import reverse_u
+
         gi, corr = reverse_u(g)
         out = print_indexed_grammar(gi) + render_correspondence(corr)
     elif op == "ugi-normalize":
+        from .unification import ugi_normalize
+
         out = print_unification_grammar(ugi_normalize(g))
     else:
+        from .unification import sink_map_root
+
         out = print_unification_grammar(sink_map_root(g))
     if args.output:
         Path(args.output).write_text(out, encoding="utf-8")
@@ -257,7 +273,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     common, left_only, right_only = ordered(lwords & rwords), ordered(lwords - rwords), ordered(rwords - lwords)
     agree = not left_only and not right_only
     if args.json:
-        print(json.dumps({
+        _print_json({
             "maxlen": args.max_len,
             "agree": agree,
             "common": [left.render_word(w) for w in common],
@@ -265,7 +281,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
             "right_only": [right.render_word(w) for w in right_only],
             "left_exhausted": lres.exhausted,
             "right_exhausted": rres.exhausted,
-        }))
+        })
     else:
         print(f"max-len: {args.max_len}")
         print(f"agree: {_yesno(agree)}")
@@ -288,6 +304,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
     g, r = _decide(args)
     if not r.member:
         return 2
+    from .dot import cstructure_with_model_dot, derivation_dot
+
     dot = derivation_dot(r.witness) if isinstance(g, IndexedGrammar) else cstructure_with_model_dot(r.witness, r.model)
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
@@ -301,13 +319,26 @@ def cmd_derive(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # wiring
 
+# the Budget caps besides max_nodes, each with its own --max-* flag
+_CAPS = (
+    ("max_stack", "stack depth"),
+    ("max_states", "queue states"),
+    ("max_steps", "search steps"),
+    ("max_demand", "demanded structure size"),
+    ("max_trees", "enumerated trees"),
+)
+
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="glab", description="Grammar laboratory for indexed and unification grammars.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_budget(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=None, metavar="NODES", help="node budget for searches (default 4096)")
+        p.add_argument("--budget", dest="max_nodes", type=int, default=None, metavar="NODES",
+                       help=f"node budget for searches (default {DEFAULT_BUDGET.max_nodes})")
+        for cap, what in _CAPS:
+            p.add_argument("--" + cap.replace("_", "-"), type=int, default=None, metavar="N",
+                           help=f"cap on {what} (default {getattr(DEFAULT_BUDGET, cap)})")
 
     p = sub.add_parser("check", help="validate a grammar file and classify it")
     p.add_argument("path")

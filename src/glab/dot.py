@@ -6,9 +6,12 @@ Output is deterministic: nodes and edges are emitted in tree-address order
 
 from __future__ import annotations
 
-from .features import FeatureStructure
-from .indexed import DerivationTree
-from .unification import CStructure, format_schema
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .features import FeatureStructure
+    from .indexed import DerivationTree
+    from .unification import CStructure
 
 
 def _esc(s: str) -> str:
@@ -45,6 +48,8 @@ def derivation_dot(t: DerivationTree) -> str:
 
 
 def _cstructure_lines(cs: CStructure, prefix: str) -> list[str]:
+    from .unification import format_schema
+
     lines = []
     for a in cs.domain.sorted_addresses:
         cat = cs.categories[a] or "_"

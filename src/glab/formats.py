@@ -24,19 +24,16 @@ and print(parse(s)) == s whenever s is already canonical.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import ParseError
 from .indexed import IndexedGrammar, Plain, Pop, Push, SymbolTable
-from .transform import RuleCorrespondence, RuleRef
-from .unification import (
-    Arrow,
-    ArrowPathEq,
-    ArrowValEq,
-    Daughter,
-    LexRule,
-    SimpleUnificationGrammar,
-    UProduction,
-    format_schema,
-)
+
+# The unification and correspondence code is imported by the functions that
+# need it, so reading or printing an .ixg grammar loads neither.
+if TYPE_CHECKING:
+    from .transform import RuleCorrespondence, RuleRef
+    from .unification import SimpleUnificationGrammar
 
 _RESERVED = {
     "->", "_", "{", "}", ";", "=", "rule", "lex", "up", "dn",
@@ -167,21 +164,21 @@ def _retokenize(toks: list[str]) -> list[str]:
     return out
 
 
-_SIDES = {"up": Arrow.UP, "dn": Arrow.DOWN}
-
-
 def _parse_equation(toks: list[str], lineno: int, values: frozenset[str]):
+    from .unification import DOWN, UP, ArrowPathEq, ArrowValEq
+
+    sides = {"up": UP, "dn": DOWN}
     if toks.count("=") != 1:
         raise ParseError("an equation needs exactly one '='", lineno)
     i = toks.index("=")
     lhs, rhs = toks[:i], toks[i + 1 :]
-    if not lhs or lhs[0] not in _SIDES:
+    if not lhs or lhs[0] not in sides:
         raise ParseError("an equation must start with 'up' or 'dn'", lineno)
-    side, path = _SIDES[lhs[0]], tuple(lhs[1:])
+    side, path = sides[lhs[0]], tuple(lhs[1:])
     if not rhs:
         raise ParseError("missing right-hand side of equation", lineno)
-    if rhs[0] in _SIDES:
-        return ArrowPathEq(side, path, _SIDES[rhs[0]], tuple(rhs[1:]))
+    if rhs[0] in sides:
+        return ArrowPathEq(side, path, sides[rhs[0]], tuple(rhs[1:]))
     if len(rhs) == 1 and rhs[0] in values:
         return ArrowValEq(side, path, rhs[0])
     raise ParseError(f"right-hand side must be an arrow path or a declared value, got {' '.join(rhs)!r}", lineno)
@@ -216,6 +213,8 @@ def _parse_schema(toks: list[str], pos: int, lineno: int, values: frozenset[str]
 
 
 def parse_unification_grammar(text: str) -> SimpleUnificationGrammar:
+    from .unification import Daughter, LexRule, SimpleUnificationGrammar, UProduction
+
     headers, start, rule_lines = _split_headers(
         text, ("nonterminals", "terminals", "attributes", "values")
     )
@@ -285,6 +284,8 @@ def render_correspondence(corr: RuleCorrespondence) -> str:
 
 
 def parse_correspondence(text: str) -> RuleCorrespondence | None:
+    from .transform import RuleCorrespondence
+
     refs: dict[int, RuleRef] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

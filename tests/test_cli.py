@@ -202,6 +202,36 @@ def test_every_command_names_a_real_stack_cap(tmp_path, capsys):
         assert code == 2 and out.splitlines() == ["member: no", "budget-exhausted: yes"]
 
 
+def test_member_stack_cap_is_raised_from_the_command_line(capsys):
+    # a real max_stack cut at the default 256; a deeper cap decides the word
+    word = "a" * 300 + "b" * 300 + "c" * 300
+    code, out, _ = run(capsys, "member", EX1, word)
+    assert code == 2 and out.splitlines() == ["member: no", "budget-exhausted: yes"]
+    code, out, _ = run(capsys, "member", EX1, word, "--max-stack", "1024")
+    assert code == 0 and out.splitlines()[0] == "member: yes"
+
+
+@pytest.mark.parametrize("flag, cap", [("--max-steps", "max_steps"), ("--max-states", "max_states")])
+def test_enum_names_the_cap_its_flag_set(capsys, flag, cap):
+    code, _, err = run(capsys, "enum", EX1, "--max-len", "9", flag, "3")
+    assert code == 0
+    assert err == f"warning: budget exhausted ({cap})\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", EX1, "abc"),
+    ("enum", EX1, "--max-len", "3"),
+    ("equiv", EX1, EX2, "--max-len", "3"),
+    ("derive", EX1, "abc"),
+])
+def test_every_search_command_takes_every_cap(capsys, argv):
+    # each flag reaches Budget, whose check names the field it fills
+    for flag in ("--budget", "--max-stack", "--max-states", "--max-steps", "--max-demand", "--max-trees"):
+        field = "max_nodes" if flag == "--budget" else flag[2:].replace("-", "_")
+        code, _, err = run(capsys, *argv, flag, "0")
+        assert code == 1 and err == f"error: budget field {field} must be positive\n", (argv, flag)
+
+
 # --------------------------------------------------------------------------
 # transform
 
@@ -340,16 +370,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     odd.write_text("nonterminals S\nstart S\n")
     bad = tmp_path / "bad.ixg"
     bad.write_text("nonterminals S\n")
+    binary = tmp_path / "binary.ixg"
+    binary.write_bytes(b"\xff\xfe")
     for argv in (
         ["check", str(odd)],                      # unknown extension
         ["check", str(tmp_path / "missing.ixg")],  # unreadable file
         ["check", str(bad)],                      # parse error
+        ["check", str(binary)],                   # not UTF-8
         ["enum", EX1],                            # missing --max-len
         ["transform", EX1, "--op", "bogus"],      # unknown op
         [],                                       # no subcommand
     ):
         assert main(argv) == 1, argv
-        capsys.readouterr()
+        assert "error: " in capsys.readouterr().err, argv
 
 
 def test_help_exits_zero(capsys):
