@@ -18,7 +18,6 @@ homomorphically into every model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import GrammarError, PreconditionError
@@ -213,10 +212,9 @@ def _eq_names(e: Equation) -> tuple[TreeAddress, ...]:
 
 
 def _eq_key(e: Equation):
-    # addresses compare as their digits do
     if isinstance(e, PathEq):
-        return (0, e.left_name.digits, e.left_path, e.right_name.digits, e.right_path, "")
-    return (1, e.name.digits, e.path, (), (), e.value)
+        return (0, e.left_name, e.left_path, e.right_name, e.right_path, "")
+    return (1, e.name, e.path, (), (), e.value)
 
 
 def satisfies(m: FeatureStructure, e: Equation) -> bool:
@@ -295,13 +293,12 @@ class _Closure:
 
     terms holds the term each class was created for; the inner nodes of a
     loaded rooted structure are named by no term and hold None.  index maps
-    a name's digits, which hash faster than the address, to the class its
-    root term was created as.
+    a name to the class its root term was created as.
     """
 
     def __init__(self) -> None:
         self.terms: list[Term | None] = []
-        self.index: dict[tuple[int, ...], int] = {}
+        self.index: dict[TreeAddress, int] = {}
         self.parent: list[int] = []
         self.succ: list[dict[str, int]] = []
         self.values: list[set[str]] = []
@@ -317,9 +314,9 @@ class _Closure:
     def intern(self, name: TreeAddress, path: Path) -> int:
         """The class of name.path, following the successor maps from the
         class of name and creating a class for every missing step."""
-        cur = self.index.get(name.digits)
+        cur = self.index.get(name)
         if cur is None:
-            cur = self.index[name.digits] = self._fresh((name, ()))
+            cur = self.index[name] = self._fresh((name, ()))
         for i, a in enumerate(path):
             row = self.succ[self.find(cur)]
             nxt = row.get(a)
@@ -332,7 +329,7 @@ class _Closure:
         """Add a rooted structure as fresh classes, its node 0 as the class
         of name; the name must be new to the closure."""
         base = len(self.parent)
-        self.index[name.digits] = base
+        self.index[name] = base
         self.terms.append((name, ()))
         self.terms.extend([None] * (len(part) - 1))
         self.parent.extend(range(base, base + len(part)))
@@ -419,7 +416,7 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
     the model is describable by construction.
     """
     domain_set = set(name_domain)
-    domain = sorted(domain_set, key=attrgetter("digits"))
+    domain = sorted(domain_set)
     eqs = sorted(set(equations), key=_eq_key)
     for e in eqs:
         for n in _eq_names(e):

@@ -7,57 +7,60 @@ it is the pure shape of an ordered tree, shared by derivation trees and
 c-structures alike.
 
 Addresses are totally ordered: a proper prefix precedes its extensions, and
-otherwise the first differing child index decides.  Python's tuple ordering on
-the digit sequences coincides with this order exactly, which the sort helpers
-below rely on.
+otherwise the first differing child index decides.  An address is the tuple
+of its digits, and Python's tuple ordering coincides with this order exactly,
+which the sort helpers below rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import not_
 from typing import Iterator
 
 from .errors import GrammarError
 
 
-@dataclass(frozen=True, order=True)
-class TreeAddress:
-    """A node address: a tuple of positive child indices, () for the root."""
+class TreeAddress(tuple):
+    """A node address: the tuple of its positive child indices, () for the
+    root.  It equals, hashes and sorts as that plain tuple, so ROOT is
+    falsy and len(a) is a's depth."""
 
-    digits: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.digits and min(self.digits) < 1:
-            raise GrammarError(f"tree address digits must be positive: {self.digits}")
+    def __new__(cls, digits: tuple[int, ...] = ()) -> "TreeAddress":
+        self = super().__new__(cls, digits)
+        if self and min(self) < 1:
+            raise GrammarError(f"tree address digits must be positive: {digits}")
+        return self
+
+    digits = property(tuple)
+    depth = property(len)
+    is_root = property(not_)
 
     def child(self, i: int) -> "TreeAddress":
-        return TreeAddress(self.digits + (i,))
+        return TreeAddress(self + (i,))
 
     @property
     def parent(self) -> "TreeAddress":
-        if not self.digits:
+        if not self:
             raise GrammarError("the root address has no parent")
-        return TreeAddress(self.digits[:-1])
-
-    @property
-    def is_root(self) -> bool:
-        return not self.digits
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
+        return TreeAddress(self[:-1])
 
     def is_prefix_of(self, other: "TreeAddress") -> bool:
-        return self.digits == other.digits[: len(self.digits)]
+        return self == other[: len(self)]
+
+    def __repr__(self) -> str:
+        return f"TreeAddress(digits={tuple(self)!r})"
 
     def __str__(self) -> str:
-        if not self.digits:
+        # digits above 9 need dots, and a lone one a leading dot: .12 is (12,), 12 is (1, 2)
+        if not self:
             return "eps"
-        if all(d <= 9 for d in self.digits):
-            return "".join(str(d) for d in self.digits)
-        return ".".join(str(d) for d in self.digits)
+        if max(self) <= 9:
+            return "".join(map(str, self))
+        return ("." if len(self) == 1 else "") + ".".join(map(str, self))
 
 
 ROOT = TreeAddress()
@@ -65,7 +68,7 @@ ROOT = TreeAddress()
 
 def address(*digits: int) -> TreeAddress:
     """Convenience constructor: address(1, 2) is the second child of the first child."""
-    return TreeAddress(tuple(digits))
+    return TreeAddress(digits)
 
 
 @dataclass(frozen=True)
@@ -80,38 +83,37 @@ class TreeDomain:
             raise GrammarError("a tree domain must contain the root")
         # one pass in address order (a mother before her daughters, a daughter
         # before her right sisters) checks closure and records the daughters
-        ordered = tuple(sorted(self.addresses, key=attrgetter("digits")))
-        daughters: dict[tuple[int, ...], list[TreeAddress]] = {}
+        ordered = tuple(sorted(self.addresses))
+        daughters: dict[TreeAddress, list[TreeAddress]] = {}
         for a in ordered:
-            d = a.digits
-            if d:
-                sisters = daughters.get(d[:-1])
+            if a:
+                sisters = daughters.get(a[:-1])
                 if sisters is None:
                     raise GrammarError(f"tree domain is not prefix-closed at {a}")
-                if d[-1] != len(sisters) + 1:
+                if a[-1] != len(sisters) + 1:
                     raise GrammarError(f"tree domain is not left-sibling-closed at {a}")
                 sisters.append(a)
-            daughters[d] = []
+            daughters[a] = []
         object.__setattr__(self, "sorted_addresses", ordered)
-        object.__setattr__(self, "_children", {d: tuple(v) for d, v in daughters.items()})
+        object.__setattr__(self, "_children", {a: tuple(v) for a, v in daughters.items()})
 
     def out_degree(self, a: TreeAddress) -> int:
         return len(self.children(a))
 
     def children(self, a: TreeAddress) -> tuple[TreeAddress, ...]:
         try:
-            return self._children[a.digits]
+            return self._children[a]
         except KeyError:
             raise GrammarError(f"address {a} is not in the domain") from None
 
     @cached_property
     def leaves(self) -> tuple[TreeAddress, ...]:
         """All addresses of out-degree zero, in address order."""
-        return tuple(a for a in self.sorted_addresses if not self._children[a.digits])
+        return tuple(a for a in self.sorted_addresses if not self._children[a])
 
     @cached_property
     def internal(self) -> tuple[TreeAddress, ...]:
-        return tuple(a for a in self.sorted_addresses if self._children[a.digits])
+        return tuple(a for a in self.sorted_addresses if self._children[a])
 
     @cached_property
     def height(self) -> int:

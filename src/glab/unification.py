@@ -29,7 +29,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Mapping, Union
 
 from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, SearchStats
@@ -45,6 +44,7 @@ from .features import (
     SolveResult,
     ValEq,
     ValueClash,
+    _first_cycle,
     solve,
     solve_rooted,
 )
@@ -695,13 +695,12 @@ def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:
     """
     if any(not r.word for r in g.lexicon):
         return max_nodes
-    succ: dict[str, list[str]] = {}
-    for p in g.productions:
+    # the unary productions as edges mother -> daughter, one per rule number
+    succ: dict[str, dict[int, str]] = {a: {} for a in g.nonterminals}
+    for k, p in enumerate(g.productions):
         if len(p.daughters) == 1:
-            succ.setdefault(p.mother, []).append(p.daughters[0].category)
-    try:
-        TopologicalSorter(succ).prepare()  # finds a unit cycle without recursion
-    except CycleError:
+            succ[p.mother][k] = p.daughters[0].category
+    if _first_cycle(g.nonterminals, succ) is not None:
         return max_nodes
     # n terminal leaves, their lexicon mothers, under n-1 branching nodes,
     # joined by unary chains of at most one node per category

@@ -353,6 +353,20 @@ def test_derive_writes_a_dot_file(tmp_path, capsys):
     assert dest.read_text().startswith("digraph derivation {")
 
 
+def test_derive_names_every_node_of_a_wide_tree_apart(tmp_path, capsys):
+    # the root's 12th daughter and the 2nd daughter of its 1st both render
+    # alone as "12" unless a lone digit above 9 is set off by a dot
+    wide = tmp_path / "wide.ixg"
+    wide.write_text("nonterminals S A\nterminals a b\nstart S\nS -> A" + " b" * 11 + "\nA -> a a\n")
+    code, out, _ = run(capsys, "derive", str(wide), "aa" + "b" * 11)
+    assert code == 0
+    nodes = [l.split('"')[1] for l in out.splitlines() if "[label=" in l]
+    edges = [l for l in out.splitlines() if " -> " in l]
+    assert len(nodes) == len(set(nodes)) == 15
+    assert '  "eps" -> ".12";' in edges and '  "1" -> "12";' in edges
+    assert len(edges) == 14
+
+
 def test_derive_on_a_non_member_writes_no_file(tmp_path, capsys):
     dest = tmp_path / "none.dot"
     code, out, _ = run(capsys, "derive", EX1, "ab", "--dot", str(dest))

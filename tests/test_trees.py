@@ -1,3 +1,7 @@
+import copy
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +26,30 @@ def test_child_and_parent():
 
 def test_wide_addresses_render_with_dots():
     assert str(address(1, 12)) == "1.12"
+    assert str(address(12)) == ".12"
+
+
+def test_address_text_is_unique():
+    digits = range(1, 13)
+    addrs = [address(*ds) for n in range(4) for ds in itertools.product(digits, repeat=n)]
+    assert len({str(a) for a in addrs}) == len(addrs)
+
+
+def test_an_address_is_the_tuple_of_its_digits():
+    a = address(1, 2)
+    assert a == (1, 2) and hash(a) == hash((1, 2))
+    assert {(1, 2): "x"}[a] == "x" and a in {(1, 2)}
+    assert a.digits == (1, 2) and type(a.digits) is tuple
+    assert len(a) == a.depth == 2
+    assert ROOT == () and not ROOT and bool(address(1))
+    assert repr(a) == "TreeAddress(digits=(1, 2))"
+    assert type(a.child(1)) is type(a.parent) is TreeAddress
+
+
+def test_addresses_survive_pickle_and_deepcopy():
+    for a in (ROOT, address(3), address(1, 12, 2)):
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert b == a and type(b) is TreeAddress and str(b) == str(a)
 
 
 def test_prefix_order():
@@ -34,6 +62,8 @@ def test_prefix_order():
 def test_child_index_must_be_positive():
     with pytest.raises(GrammarError):
         ROOT.child(0)
+    with pytest.raises(GrammarError, match=r"^tree address digits must be positive: \(0,\)$"):
+        TreeAddress((0,))
 
 
 def test_domain_requires_prefix_closure():
@@ -102,7 +132,7 @@ def domains(draw):
 def test_domain_invariants(addrs):
     d = domain_of(addrs)
     ordered = d.sorted_addresses
-    assert list(ordered) == sorted(ordered)
+    assert list(ordered) == sorted(ordered) == sorted(addrs, key=lambda a: a.digits)
     assert len(set(ordered)) == len(ordered) == len(addrs)
     for a in ordered:
         for c in d.children(a):
