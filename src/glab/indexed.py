@@ -368,7 +368,7 @@ def validate_derivation_tree(g: IndexedGrammar, t: DerivationTree) -> Validation
         if lab.symbol not in g.symbols.nonterminal_set:
             errors.append((a, "symbol", f"{lab.symbol!r} is not a nonterminal of the grammar"))
             continue
-        if any(i not in g.symbols.index_set for i in lab.stack):
+        if not g.symbols.index_set.issuperset(lab.stack):
             errors.append((a, "stack", f"stack {lab.stack} uses undeclared indices"))
             continue
         actual = [t.labels[c] for c in t.domain.children(a)]

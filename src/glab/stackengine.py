@@ -59,12 +59,12 @@ which set the exhausted flag, so max_stack names only a state that could
 still lie in a witness, and caps only the part of its stack that can be
 read.
 
-A membership run is given the word and keeps less: the subtrees of a
-witness yield factors of the word, so a combination is stored only if its
-yield is a factor (_Factors, memoised per yield), and a rule with a leaf the
-word lacks is left out, also from the yield bound.  Every key a membership
-run keeps has the least (cost, rule sequence) that a language run to the
-same length gives it, so answers and witnesses agree, but states, steps and
+A membership run is given the word and keeps less: the subtrees of a witness
+yield factors of the word, so a combination is stored only if its yield is a
+factor (a substring of the coded word), and a rule with a leaf the word
+lacks is left out, also from the yield bound.  Every key a membership run
+keeps has the least (cost, rule sequence) that a language run to the same
+length gives it, so answers and witnesses agree, but states, steps and
 improved are lower, and a membership that a cap cut short may complete.
 
 Relaxation is semi-naive (Bancilhon & Ramakrishnan 1986): when a rule is
@@ -75,6 +75,10 @@ dropped if its yield is over length, its tree is over the node cap, its
 yield is no factor of the word (in a membership run) or its demands clash.
 SearchStats.steps, and so Budget.max_steps, counts every combination of each
 join, and SearchStats.improved the entries added or improved.
+
+Inside a search each terminal and index value is one character, coded in
+rule order: yields, stacks and demands are strings, which hash once and
+join, push, pop and find factors in C.  language and witness decode.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ from .trees import ROOT, TreeAddress
 
 Stack = tuple[str, ...]
 Word = tuple[str, ...]
-State = tuple[str, Stack]
+State = tuple[str, str]  # a nonterminal and its coded stack (Fixpoint)
 
 COPY, PUSH, POP = "copy", "push", "pop"
 
@@ -320,7 +324,7 @@ class _YieldBound:
                     empty[mother] = total
                     changed = True
         self._by_value: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
-        self._by_stack: dict[Stack, tuple[int, ...]] = {(): tuple(empty)}
+        self._by_stack: dict[str, tuple[int, ...]] = {"": tuple(empty)}
 
     def _evaluate(self, poly: list, x) -> int:
         """The least value of poly at x, capped."""
@@ -333,20 +337,18 @@ class _YieldBound:
                 best = c
         return best
 
-    def bound(self, sym: str, stack: Stack) -> int:
+    def bound(self, sym: str, stack: str) -> int:
         by_stack, by_value = self._by_stack, self._by_value
         vec = by_stack.get(stack)
         if vec is None:
-            above = []
-            while stack not in by_stack:
-                above.append(stack)
-                stack = stack[1:]
-            vec = by_stack[stack]
-            for s in reversed(above):
-                key = (s[0], vec)
+            # down to the longest memoised suffix, by depth, so any stack ends
+            depth = next((d for d in range(1, len(stack)) if stack[d:] in by_stack), len(stack))
+            vec = by_stack[stack[depth:] if depth < len(stack) else ""]
+            for d in reversed(range(depth)):
+                key = (stack[d], vec)
                 if key not in by_value:
-                    by_value[key] = tuple(self._evaluate(self.summary[a, s[0]], vec) for a in range(len(vec)))
-                vec = by_stack[s] = by_value[key]
+                    by_value[key] = tuple(self._evaluate(self.summary[a, stack[d]], vec) for a in range(len(vec)))
+                vec = by_stack[stack[d:]] = by_value[key]
         i = self.index.get(sym)
         return self.cap if i is None else vec[i]
 
@@ -355,25 +357,23 @@ class _YieldBound:
 # Fixpoint over (yield, demand) entries
 
 
-class _Factors(dict):
-    """Whether a yield over the symbols of word is a factor (a contiguous
-    part) of word, memoised per yield: each symbol is coded as one
-    character, and a yield is a factor when its coded text is a substring
-    of word's."""
+def _coded(rules: Sequence[Rule], code: dict[str, str]) -> list[Rule]:
+    """The rules with every terminal and index value replaced by its
+    character in code, which gains the names it lacks in rule order.  A
+    child with neither, a COPY child or the empty leaf, is reused."""
 
-    def __init__(self, word: Word):
-        super().__init__()
-        self._code: dict[str, str] = {}
-        for s in word:
-            self._code.setdefault(s, chr(len(self._code)))
-        self._text = "".join(map(self._code.__getitem__, word))
+    def char(name: str) -> str:
+        return code.setdefault(name, chr(len(code)))
 
-    def __missing__(self, y: Word) -> bool:
-        ok = self[y] = "".join(map(self._code.__getitem__, y)) in self._text
-        return ok
+    def child(c: Child) -> Child:
+        if c.op is None:
+            return Child(char(c.symbol)) if c.symbol else c
+        return c if c.op == COPY else Child(c.symbol, c.op, char(c.value))
+
+    return [Rule(r.mother, r.guard and char(r.guard), tuple(map(child, r.children))) for r in rules]
 
 
-def _subsumed(store: dict, key: tuple[Word, Stack], cost_seq: tuple) -> bool:
+def _subsumed(store: dict, key: tuple[str, str], cost_seq: tuple) -> bool:
     """Whether store holds key's yield with a proper prefix of key's demand
     at a (cost, seq) no larger than cost_seq, which subsumes key's entry
     (see the module docstring)."""
@@ -385,22 +385,22 @@ def _subsumed(store: dict, key: tuple[Word, Stack], cost_seq: tuple) -> bool:
     return False
 
 
-def _merge_demand(a: Stack, b: Stack) -> Stack | None:
+def _merge_demand(a: str, b: str) -> str | None:
     if len(a) <= len(b):
-        return b if b[: len(a)] == a else None
-    return a if a[: len(b)] == b else None
+        return b if b.startswith(a) else None
+    return a if a.startswith(b) else None
 
 
-def _child_stack(c: Child, base: Stack) -> tuple[Stack, str | None] | None:
+def _child_stack(c: Child, base: str) -> tuple[str, str | None] | None:
     """The stack of nonterminal child c of a rule whose children see base,
     and the value that c's pop below the root demands (else None); None if
     c pops a value that is not on top."""
     if c.op == COPY:
         return base, None
     if c.op == PUSH:
-        return (c.value,) + base, None
+        return c.value + base, None
     if not base:
-        return (), c.value
+        return "", c.value
     return (base[1:], None) if base[0] == c.value else None
 
 
@@ -468,29 +468,30 @@ class Fixpoint:
     def __init__(self, rules: Sequence[Rule], start: str, maxlen: int, budget: Budget, word: Word | None = None):
         if maxlen < 0:
             raise GrammarError("maxlen must be >= 0")
-        self.rules = rules
+        self._code = {"": ""}
+        self.rules = rules = _coded(rules, self._code)
         self.maxlen = maxlen
         self.budget = budget
         live = range(len(rules))
-        self.factors = None
+        self.text = None
         if word is not None:
-            self.factors = _Factors(word)
-            # a rule with a leaf the word lacks yields no factor of it
-            alphabet = set(word)
-            live = [ri for ri in live if all(c.op or not c.symbol or c.symbol in alphabet for c in rules[ri].children)]
+            # a terminal no rule emits gets a new code; a rule with a leaf the word lacks yields no factor of it
+            self.text = "".join([self._code.setdefault(s, chr(len(self._code))) for s in word])
+            live = [ri for ri in live if all(c.op or not c.symbol or c.symbol in self.text for c in rules[ri].children)]
+        self._name = {c: s for s, c in self._code.items()}
         self.by_mother: dict[str, list[int]] = {}
         for ri in live:
             self.by_mother.setdefault(rules[ri].mother, []).append(ri)
         self.cuts = _unread_pushes(rules, self.by_mother)
         self.stats = SearchStats()
         self.oracle = _YieldBound([rules[ri] for ri in live], maxlen + 1)
-        self.entries: dict[State, dict[tuple[Word, Stack], tuple]] = {}
+        self.entries: dict[State, dict[tuple[str, str], tuple]] = {}
         # jobs (state, rule number) to rerun when a state's entries change,
         # in the order they first read it
         self.deps: dict[State, dict[tuple[State, int], None]] = {}
         # per job, the change clock when its last complete run began
         self._ran: dict[tuple[State, int], int] = {}
-        self.root: State = (start, ())
+        self.root: State = (start, "")
         self._pending: deque[tuple[State, int]] = deque()
         self._pending_set: set[tuple[State, int]] = set()
 
@@ -513,7 +514,7 @@ class Fixpoint:
                 self._enqueue((state, ri))
         return True
 
-    def _fits(self, ri: int, stack: Stack) -> bool:
+    def _fits(self, ri: int, stack: str) -> bool:
         """Whether rule ri applies on stack and its children's least yields
         sum to at most maxlen.  A rule that fails yields nothing within the
         bound, so it is not run and its children are not discovered.  A PUSH
@@ -530,7 +531,7 @@ class Fixpoint:
             if c.op is None:
                 total += bool(c.symbol)
             else:
-                child = _child_stack(c, () if c in self.cuts else stack)
+                child = _child_stack(c, "" if c in self.cuts else stack)
                 if child is None:
                     return False
                 total += self.oracle.bound(c.symbol, child[0])
@@ -570,12 +571,12 @@ class Fixpoint:
         demands = False
         for c in rule.children:
             if c.op is None:
-                seen.append([((c.symbol,) if c.symbol else (), (), 1, ())])
+                seen.append([(c.symbol, "", 1, ())])
                 fresh.append([])
                 continue
             counted = True
             # _fits passed, so the child's pop matches
-            cstack, prepend = _child_stack(c, () if c in self.cuts else base)
+            cstack, prepend = _child_stack(c, "" if c in self.cuts else base)
             cstate = (c.symbol, cstack)
             if not self._discover(cstate):
                 return
@@ -588,7 +589,7 @@ class Fixpoint:
                 if demand and _subsumed(centries, key, (cost, seq)):
                     continue  # it may have been joined, but need not be again
                 if prepend is not None:
-                    demand = (prepend,) + demand
+                    demand = prepend + demand
                     if len(demand) > self.budget.max_demand:
                         self.stats.mark_exhausted("max_demand")
                         continue
@@ -604,7 +605,7 @@ class Fixpoint:
         joins = [seen[:i] + [n] + every[i + 1 :] for i, n in enumerate(fresh) if n] if counted else [seen]
         store = self.entries[state]
         stats, max_steps = self.stats, self.budget.max_steps
-        maxlen, max_nodes, factors = self.maxlen, self.budget.max_nodes, self.factors
+        maxlen, max_nodes, text = self.maxlen, self.budget.max_nodes, self.text
         changed = False
         for opts in joins:
             for chosen in itertools.product(*opts):
@@ -613,14 +614,14 @@ class Fixpoint:
                     if stats.steps > max_steps:
                         stats.mark_exhausted("max_steps")
                         return
-                word: Word = ()
+                word = ""
                 cost = 1
                 for c in chosen:
                     word += c[0]
                     cost += c[2]
-                if len(word) > maxlen or cost > max_nodes or (factors is not None and not factors[word]):
+                if len(word) > maxlen or cost > max_nodes or (text is not None and word not in text):
                     continue
-                demand: Stack | None = ()
+                demand: str | None = ""
                 if demands:
                     for c in chosen:
                         demand = _merge_demand(demand, c[1])
@@ -644,12 +645,16 @@ class Fixpoint:
             for parent_combo in self.deps.get(state, ()):
                 self._enqueue(parent_combo)
 
+    def encode(self, names: Sequence[str]) -> str | None:
+        """Terminals or index values in this search's code, None if one has none."""
+        return "".join([self._code[s] for s in names]) if self._code.keys() >= set(names) else None
+
     def language(self) -> LanguageResult:
-        words = {w for (w, _) in self.entries.get(self.root, {})}
+        words = {tuple(map(self._name.__getitem__, w)) for (w, _) in self.entries.get(self.root, {})}
         ordered = tuple(sorted(words, key=lambda w: (len(w), w)))
         return LanguageResult(ordered, self.stats.exhausted, tuple(self.stats.reasons), self.stats)
 
-    def witness(self, word: Word) -> list[tuple[TreeAddress, tuple[int, int] | None, State | str]] | None:
+    def witness(self, word: Word) -> list[tuple[TreeAddress, tuple[int, int] | None, tuple[str, Stack] | str]] | None:
         """The minimal witness of word at the root, in preorder, as triples
         (address, slot, item): slot is (rule number, child position) in the
         mother's rule, None at the root; item is a state, or a leaf symbol.
@@ -657,17 +662,22 @@ class Fixpoint:
         node's stack rebuilt from its mother's by its rule, whole: no PUSH
         child is cut here, so each node carries the stack of its tree."""
         store = self.entries.get(self.root, {})
-        keys = [k for k in store if k[0] == word]
+        coded = self.encode(word)
+        keys = [k for k in store if k[0] == coded]
         if not keys:
             return None
         seq = iter(store[min(keys, key=lambda k: store[k][:2] + (k,))][1])
+        name, stacks = self._name, {}  # stacks: decoded, per coded stack
         out: list = []
         todo = [(ROOT, None, self.root)]
         while todo:
             addr, slot, item = todo.pop()
-            out.append((addr, slot, item))
             if isinstance(item, str):
+                out.append((addr, slot, name[item]))
                 continue
+            if item[1] not in stacks:
+                stacks[item[1]] = tuple(map(name.__getitem__, item[1]))
+            out.append((addr, slot, (item[0], stacks[item[1]])))
             ri = next(seq)
             rule = self.rules[ri]
             base = item[1][1:] if rule.guard is not None else item[1]

@@ -210,6 +210,15 @@ def test_validation_rejects_undeclared_stack_and_symbol():
     assert any(cond == "symbol" for _, cond, _ in report.errors)
 
 
+def test_validation_finds_an_undeclared_index_below_the_top_of_a_deep_node():
+    g = lockstep_grammar()
+    labels = dict(lockstep_tree().labels)
+    labels[address(1, 1, 1)] = NodeLabel("A", ("g", "h", "f"))
+    report = validate_derivation_tree(g, tree_of(labels))
+    stack_errors = [(a, msg) for a, cond, msg in report.errors if cond == "stack"]
+    assert stack_errors == [(address(1, 1, 1), "stack ('g', 'h', 'f') uses undeclared indices")]
+
+
 # --------------------------------------------------------------------------
 # Structural checks and the end-marker transformation
 

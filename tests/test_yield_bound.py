@@ -45,6 +45,11 @@ def _shortest_entries(fp: Fixpoint) -> dict:
     return {state: min(len(w) for w, _ in store) for state, store in fp.entries.items() if store}
 
 
+def _bound(fp: Fixpoint, sym: str, stack: tuple) -> int:
+    """The bound of sym on stack, coded through the search's own table."""
+    return fp.oracle.bound(sym, fp.encode(stack))
+
+
 class _NoBound:
     def bound(self, sym, stack) -> int:
         return 0
@@ -122,27 +127,31 @@ def test_bound_is_below_the_shortest_entry_where_demands_clash():
     ]
     fp = Fixpoint(rules, "U0", MAXLEN, BUDGET).run()
     assert not fp.stats.exhausted
-    assert fp.oracle.bound("U0", ()) == 0
+    assert _bound(fp, "U0", ()) == 0
     assert _shortest_entries(fp)[fp.root] == 1
 
 
 def test_bound_counts_the_lockstep_stack_of_example1():
     # S' on g^k f derives a^(k+1) b^(k+1) c^(k+1) at the least
     g = parse_indexed_grammar((FIXTURES / "example1.ixg").read_text())
-    oracle = Fixpoint(g.stack_rules, g.start, 400, Budget()).oracle
-    assert [oracle.bound("S'", ("g",) * k + ("f",)) for k in range(120)] == [3 * (k + 1) for k in range(120)]
+    fp = Fixpoint(g.stack_rules, g.start, 400, Budget())
+    assert [_bound(fp, "S'", ("g",) * k + ("f",)) for k in range(120)] == [3 * (k + 1) for k in range(120)]
     # past the length bound the bound saturates at maxlen + 1
-    assert oracle.bound("S'", ("g",) * 200 + ("f",)) == 401
+    assert _bound(fp, "S'", ("g",) * 200 + ("f",)) == 401
     # no pop matches g on the empty stack, and A needs one
-    assert oracle.bound("A", ("g",)) == 401
+    assert _bound(fp, "A", ("g",)) == 401
+    # the walk to a memoised suffix goes by depth, so a stack that is not
+    # coded fails at its bottom value instead of looping
+    with pytest.raises(KeyError):
+        fp.oracle.bound("S'", ("g", "f"))
 
 
 def test_bound_counts_the_doubling_stack_of_example2():
     # B on g^k f $ derives d^(2^(k+1)) at the least: each g doubles it
     g = parse_indexed_grammar((FIXTURES / "example2.ixg").read_text())
-    oracle = Fixpoint(g.stack_rules, g.start, 300, Budget()).oracle
-    assert [oracle.bound("B", ("g",) * k + ("f", "$")) for k in range(8)] == [2 ** (k + 1) for k in range(8)]
-    assert oracle.bound("B", ("g",) * 8 + ("f", "$")) == 301
+    fp = Fixpoint(g.stack_rules, g.start, 300, Budget())
+    assert [_bound(fp, "B", ("g",) * k + ("f", "$")) for k in range(8)] == [2 ** (k + 1) for k in range(8)]
+    assert _bound(fp, "B", ("g",) * 8 + ("f", "$")) == 301
 
 
 def test_the_exits_of_a_push_see_the_stack_it_pushed_onto():
@@ -158,8 +167,8 @@ def test_the_exits_of_a_push_see_the_stack_it_pushed_onto():
         Pop("C", "$", ("c",)),
     )
     g = IndexedGrammar(sym, rules, "S")
-    oracle = Fixpoint(g.stack_rules, g.start, MAXLEN, BUDGET).oracle
-    assert oracle.bound("A", ("u", "$")) == 3 and oracle.bound("C", ("$",)) == 1
+    fp = Fixpoint(g.stack_rules, g.start, MAXLEN, BUDGET)
+    assert _bound(fp, "A", ("u", "$")) == 3 and _bound(fp, "C", ("$",)) == 1
     assert _check_bound(g.stack_rules, g.start, exact=True) > 0
 
 
