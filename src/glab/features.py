@@ -9,10 +9,11 @@ nodes have no outgoing edges) and acyclic.
 Equations come in exactly two shapes: a path equation equating the nodes
 reached from two named nodes, and a value equation fixing the atomic value at
 the end of a non-empty path.  ``solve`` decides whether a set of equations
-has any well-defined model by building the least one with congruence closure,
-checking it for value clashes and handing the atomic and acyclic checks to
-``well_defined_check``; rejection is sound because the least model maps
-homomorphically into every model.
+has any well-defined model by building the least one with congruence closure
+and judging its classes once, for a value clash, a valued class with an
+out-edge or a cycle; rejection is sound because the least model maps
+homomorphically into every model.  ``well_defined_check`` judges a structure
+the caller supplies.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .trees import TreeAddress
 Path = tuple[str, ...]
 Node = int
 Term = tuple[TreeAddress, Path]
+
+# The attribute pair that encodes a stack as a linked list: its tail, its top value.
+STACK_ATTRS = ("next", "idx")
 
 
 def format_path(path: Path) -> str:
@@ -369,19 +373,28 @@ class _Closure:
     def roots(self) -> list[int]:
         return [i for i, p in enumerate(self.parent) if p == i]
 
-    def well_defined(self) -> bool:
-        """Whether every class holds at most one value, no valued class has
-        an out-edge and no class reaches itself.  Every class is checked, not
-        only those a given root reaches: a loaded part that no root reaches
-        can still be made cyclic or clashing by equations on its own paths."""
+    def defect(self) -> Diagnosis | None:
+        """The first defect, or None: a root with two values, else a valued
+        root with an out-edge, each the first in index order, else the first
+        cycle from the roots in index order over sorted edges.  Every class is
+        judged: a loaded part that no root reaches can still be made cyclic
+        or clashing by equations on its own paths."""
         roots = self.roots()
+        atom = None
         for r in roots:
             vs, row = self.values[r], self.succ[r]
-            if len(vs) > 1 or (vs and row):
-                return False
+            if len(vs) > 1:
+                return ValueClash(self.terms[r], *sorted(vs)[:2])
+            if vs and row and atom is None:
+                atom = r
             for a, t in row.items():
                 row[a] = self.find(t)  # the same class, named by its representative
-        return _first_cycle(roots, self.succ) is None
+        if atom is not None:
+            return AtomicityViolation(self.terms[atom])
+        if _first_cycle(roots, self.succ) is None:  # only naming a cycle needs sorted edges
+            return None
+        r, path = _first_cycle(roots, {r: dict(sorted(self.succ[r].items())) for r in roots})
+        return CycleDetected(self.terms[r], path)
 
     def project(self, i: int) -> Rooted:
         """The rooted structure of the classes reachable from i's class."""
@@ -408,12 +421,11 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
 
     One node per congruence class of the path-prefix terms occurring in the
     equations plus the whole name domain; classes merge under path equations
-    and functional closure of the transition map.  Node identities in the
-    model number the classes by first occurrence.  Value clashes are checked
-    on the classes; the model is then judged by well_defined_check, whose
-    first valued node with an out-edge or first cycle is reported as the
-    first term of its class.  Every class holds a prefix of a named term, so
-    the model is describable by construction.
+    and functional closure of the transition map.  The classes are judged
+    once (_Closure.defect), and the model is built only when they have no
+    defect.  Node identities in the model number the classes by first
+    occurrence.  Every class holds a prefix of a named term, so the model is
+    describable by construction.
     """
     domain_set = set(name_domain)
     domain = sorted(domain_set)
@@ -427,14 +439,11 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
     for n in domain:
         cl.intern(n, ())
     _close(cl, eqs)
+    diagnosis = cl.defect()
+    if diagnosis is not None:
+        return Inconsistent(diagnosis)
 
     roots = cl.roots()
-
-    for r in roots:
-        vs = sorted(cl.values[r])
-        if len(vs) > 1:
-            return Inconsistent(ValueClash(cl.terms[r], vs[0], vs[1]))
-
     number = {r: k for k, r in enumerate(roots)}
     delta = {
         number[r]: {a: number[cl.find(t)] for a, t in sorted(cl.succ[r].items())}
@@ -444,14 +453,7 @@ def solve(equations: Iterable[Equation], name_domain: Iterable[TreeAddress]) -> 
     alpha = {number[r]: next(iter(cl.values[r])) for r in roots if cl.values[r]}
     # the domain's names were interned first, as classes 0, 1, ...
     names = {n: number[cl.find(k)] for k, n in enumerate(domain)}
-    model = FeatureStructure(tuple(range(len(roots))), delta, alpha, names)
-    report = well_defined_check(model)
-    if report.atom_with_edge is not None:
-        return Inconsistent(AtomicityViolation(cl.terms[roots[report.atom_with_edge]]))
-    if report.cycle is not None:
-        node, path = report.cycle
-        return Inconsistent(CycleDetected(cl.terms[roots[node]], path))
-    return Consistent(model)
+    return Consistent(FeatureStructure(tuple(range(len(roots))), delta, alpha, names))
 
 
 def solve_rooted(
@@ -475,7 +477,7 @@ def solve_rooted(
     for name, part in parts:
         cl.load(name, part)
     _close(cl, equations)
-    return cl.project(0) if cl.well_defined() else None
+    return cl.project(0) if cl.defect() is None else None
 
 
 def _close(cl: _Closure, equations: Iterable[Equation]) -> None:
@@ -501,8 +503,8 @@ def _close(cl: _Closure, equations: Iterable[Equation]) -> None:
 def suffix_chain_structure(
     strings: Iterable[tuple[str, ...]],
     names: Mapping[TreeAddress, tuple[str, ...]] | None = None,
-    next_attr: str = "next",
-    idx_attr: str = "idx",
+    next_attr: str = STACK_ATTRS[0],
+    idx_attr: str = STACK_ATTRS[1],
 ) -> FeatureStructure:
     """Encode symbol strings as linked lists sharing suffixes and symbols.
 
@@ -516,6 +518,8 @@ def suffix_chain_structure(
     symbols: set[str] = set()
     for s in strings:
         for i in range(len(s) + 1):
+            if s[i:] in suffixes:
+                break  # the set is suffix-closed, so it holds every shorter suffix too
             suffixes.add(s[i:])
         symbols.update(s)
     order: list = sorted(suffixes, key=lambda s: (len(s), s)) + sorted(symbols)

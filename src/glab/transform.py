@@ -18,6 +18,7 @@ from typing import Mapping
 
 from .errors import GrammarError, PreconditionError
 from .features import (
+    STACK_ATTRS,
     FeatureStructure,
     satisfies_set,
     suffix_chain_structure,
@@ -91,10 +92,6 @@ class RuleCorrespondence:
         return len(self.images)
 
 
-NEXT_ATTR = "next"
-IDX_ATTR = "idx"
-
-
 def _require_reduced_marked(g: IndexedGrammar, what: str) -> None:
     rep = reduced_form_check(g)
     if not rep.is_reduced:
@@ -112,9 +109,9 @@ def _schemata(rule: Rule) -> tuple[Schema, ...]:
     gives a pop schema over its one COPY child, a PUSH child a push schema,
     a COPY child a copy schema, and a leaf no equations."""
     if rule.guard is not None:
-        return (pop_schema(NEXT_ATTR, IDX_ATTR, rule.guard),)
+        return (pop_schema(*STACK_ATTRS, rule.guard),)
     return tuple(
-        push_schema(NEXT_ATTR, IDX_ATTR, c.value) if c.op == PUSH else copy_schema() if c.op == COPY else frozenset()
+        push_schema(*STACK_ATTRS, c.value) if c.op == PUSH else copy_schema() if c.op == COPY else frozenset()
         for c in rule.children
     )
 
@@ -145,7 +142,7 @@ def u_transform(g: IndexedGrammar) -> tuple[SimpleUnificationGrammar, RuleCorres
     gu = SimpleUnificationGrammar(
         g.symbols.nonterminals,
         g.symbols.terminals,
-        (NEXT_ATTR, IDX_ATTR),
+        STACK_ATTRS,
         g.symbols.indices,
         tuple(prods),
         tuple(lex),
@@ -232,7 +229,7 @@ def cstructure_from_derivation(
     cs = CStructure(t.domain, {a: t.symbol_at(a) for a in t.domain.sorted_addresses}, eqsets)
 
     names = {a: t.stack_at(a) for a in t.domain.internal}
-    m = suffix_chain_structure(set(names.values()), names, NEXT_ATTR, IDX_ATTR)
+    m = suffix_chain_structure(set(names.values()), names)
     if not satisfies_set(m, collect_equations(cs)):  # pragma: no cover - conversion invariant
         raise GrammarError("internal error: stack structure violates the converted tree's equations")
     return cs, m
@@ -266,7 +263,7 @@ def _value_strings(m: FeatureStructure, next_attr: str, idx_attr: str):
 
 
 def idx_lst(
-    m: FeatureStructure, q: int, next_attr: str = NEXT_ATTR, idx_attr: str = IDX_ATTR
+    m: FeatureStructure, q: int, next_attr: str = STACK_ATTRS[0], idx_attr: str = STACK_ATTRS[1]
 ) -> tuple[str, ...]:
     """Read the value string below a node: its own value if atomic, else the
     idx string followed by the next string when both edges are present, else
@@ -285,8 +282,8 @@ def idx_lst_dollar(
     m: FeatureStructure,
     q: int,
     dollar: str,
-    next_attr: str = NEXT_ATTR,
-    idx_attr: str = IDX_ATTR,
+    next_attr: str = STACK_ATTRS[0],
+    idx_attr: str = STACK_ATTRS[1],
 ) -> tuple[str, ...]:
     """Smallest prefix of the node's value string ending in the marker, or
     the empty string when the marker never shows up."""
@@ -312,7 +309,7 @@ def derivation_from_cstructure(
     if not satisfies_set(m, collect_equations(cs)):
         raise PreconditionError("the structure does not satisfy the tree's instantiated equations")
 
-    read = _value_strings(m, NEXT_ATTR, IDX_ATTR)
+    read = _value_strings(m, *STACK_ATTRS)
     labels: dict[TreeAddress, object] = {}
     for a in cs.domain.sorted_addresses:
         if cs.domain.out_degree(a) == 0 and not a.is_root:

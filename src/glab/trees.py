@@ -40,13 +40,16 @@ class TreeAddress(tuple):
     is_root = property(not_)
 
     def child(self, i: int) -> "TreeAddress":
-        return TreeAddress(self + (i,))
+        # a valid address's digits are positive already, so only i needs checking
+        if i < 1:
+            raise GrammarError(f"tree address digits must be positive: {self + (i,)}")
+        return tuple.__new__(TreeAddress, self + (i,))
 
     @property
     def parent(self) -> "TreeAddress":
         if not self:
             raise GrammarError("the root address has no parent")
-        return TreeAddress(self[:-1])
+        return tuple.__new__(TreeAddress, self[:-1])
 
     def is_prefix_of(self, other: "TreeAddress") -> bool:
         return self == other[: len(self)]

@@ -35,6 +35,7 @@ from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, Se
 from .errors import GrammarError, PreconditionError
 from .features import (
     EMPTY_ROOTED,
+    STACK_ATTRS,
     Consistent,
     Equation,
     FeatureStructure,
@@ -981,7 +982,7 @@ def sink_map_root(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
     node of the model stay derivable.  Reduced form is preserved.
     """
     report = _require_ugi(g, "root wrapping")
-    pair = report.attr_pair or ("next", "idx")
+    pair = report.attr_pair or STACK_ATTRS
     taken = set(g.nonterminals) | set(g.terminals) | set(g.values)
     s0 = fresh_symbol(g.start + "_0", taken)
     taken.add(s0)
@@ -1070,7 +1071,7 @@ def canonical_fs(cs: CStructure) -> SolveResult:
         assert value is not None
         have = demands.get(demanded)
         if have is not None and have[0] != value:
-            idx_attr = pair[1] if pair else "idx"
+            idx_attr = (pair or STACK_ATTRS)[1]
             return Inconsistent(ValueClash((have[1], (idx_attr,)), have[0], value))
         if have is None:
             demands[demanded] = (value, at)
@@ -1094,7 +1095,7 @@ def canonical_fs(cs: CStructure) -> SolveResult:
         assign(("val", v))
 
     delta: dict[int, dict[str, int]] = {}
-    next_attr, idx_attr = pair if pair else ("next", "idx")
+    next_attr, idx_attr = pair or STACK_ATTRS
     for s in next_sources:
         q = number[("seq", s)]
         delta.setdefault(q, {})[next_attr] = number[("seq", s[1:])]

@@ -26,7 +26,7 @@ from glab import (
     suffix_chain_structure,
     well_defined_check,
 )
-from glab.features import format_path
+from glab.features import format_path, solve_rooted
 
 from helpers import oracle_satisfiable, rand_equation_set, sample_until, small_term_set
 
@@ -215,6 +215,12 @@ def test_diagnoses_render_their_term_and_path():
             [PathEq(N1, ("p",), N2, ("q",)), ValEq(N2, ("r",), "u"), PathEq(N2, ("r", "s"), N1, ("p",))],
             AtomicityViolation((N2, ("r",))),
         ),
+        # N1 gains its z edge before its a edge, and each leads to a cycle:
+        # the one named is the first over attribute-sorted edges, through a
+        (
+            [PathEq(N1, ("z", "z"), N1, ("z",)), PathEq(N2, ("x",), N1, ("a",)), PathEq(N2, ("x",), N1, ("a", "a"))],
+            CycleDetected((N2, ("x",)), ("a",)),
+        ),
     ]
     for eqs, diagnosis in cases:
         res = solve(eqs, [N1, N2])
@@ -248,6 +254,8 @@ def test_solve_agrees_with_the_partition_oracle():
     for eqs, names in cases:
         res = solve(eqs, names)
         assert res.consistent == oracle_satisfiable(eqs, names), f"disagreement on {eqs}"
+        # the reference engine's verdict on the same closure is the same
+        assert (solve_rooted(eqs, names[0], ()) is None) == (not res.consistent), f"disagreement on {eqs}"
         if res.consistent:
             m = res.model
             assert satisfies_set(m, eqs)

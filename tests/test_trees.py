@@ -64,6 +64,8 @@ def test_child_index_must_be_positive():
         ROOT.child(0)
     with pytest.raises(GrammarError, match=r"^tree address digits must be positive: \(0,\)$"):
         TreeAddress((0,))
+    with pytest.raises(GrammarError, match=r"^tree address digits must be positive: \(1, 2, 0\)$"):
+        address(1, 2).child(0)
 
 
 def test_domain_requires_prefix_closure():

@@ -54,6 +54,10 @@ membership the member, witness, model, exhausted and reasons:
   searches take tens or hundreds of thousands of steps, again with the step
   cap at every Fibonacci number up to 832040, so that it falls at many
   points of their growing joins.
+
+The questions to the solver: 400 equation sets from rand_equation_set of
+tests/helpers.py (the generator of acceptance check 8, with its seed), each
+recorded as solve's consistent, diagnosis and model.
 """
 
 from __future__ import annotations
@@ -104,6 +108,8 @@ STEP_SWEEP = (
     "acceptance7/normalize/49/after",
 )
 STEP_SWEEP_LIMIT = 832040
+SOLVER_SEED = 80826
+SOLVER_SETS = 400
 
 
 def _digest(texts) -> str:
@@ -383,6 +389,23 @@ def _step_sweep_questions():
                 yield f"steps/{qid}/{cap}", ask, (g, maxlen, replace(budget, max_steps=cap))
 
 
+def _solve(eqs, names) -> dict:
+    r = glab.solve(eqs, names)
+    return {
+        "consistent": r.consistent,
+        "diagnosis": None if r.consistent else str(r.diagnosis),
+        "model": _model_text(r.model) if r.consistent else None,
+    }
+
+
+def _solver_questions():
+    from helpers import rand_equation_set
+
+    rng = random.Random(SOLVER_SEED)
+    for k in range(SOLVER_SETS):
+        yield f"solve/{k}", _solve, rand_equation_set(rng)
+
+
 def questions():
     for seed in SWEEP_SEEDS:
         yield from _sweep_questions(seed)
@@ -396,6 +419,7 @@ def questions():
     yield from _stack_fixture_questions()
     yield from _random_stack_questions()
     yield from _step_sweep_questions()
+    yield from _solver_questions()
 
 
 def record(out: Path) -> int:
