@@ -20,10 +20,14 @@ so they can be checked against each other:
   in a fixed order (ascending node count, ties by the production-index
   sequence read in address order).  It is the reference semantics and the
   brute-force oracle.
-* ``indexed_language_upto`` / ``indexed_membership`` compile the productions
-  to the rules of ``glab.stackengine``, the fixpoint engine shared with
-  stack-form unification grammars, and map its witness back to a derivation
-  tree.
+* ``indexed_language_upto`` / ``indexed_membership`` run ``glab.stackengine``,
+  the fixpoint engine shared with stack-form unification grammars, and map
+  its witness back to a derivation tree.
+
+Both read the productions as the engine does, from their compiled rules
+(``IndexedGrammar.stack_rules``), and so does ``validate_derivation_tree``;
+only the compile, the grammar's own checks and text I/O read the three
+production shapes.
 """
 
 from __future__ import annotations
@@ -323,27 +327,17 @@ class ValidationReport:
         return self.errors[0] if self.errors else None
 
 
-def _child_specs(g: IndexedGrammar, p: IndexedProduction, stack: Stack):
-    """The labels a node's children must carry when licensed by p, or None
-    when p does not apply to this (symbol-independent) stack."""
-    if isinstance(p, Push):
-        return [NodeLabel(p.rhs, (p.index,) + stack)]
-    if isinstance(p, Pop):
-        if not stack or stack[0] != p.index:
+def _child_specs(rule: Rule, stack: Stack) -> list[Label] | None:
+    """The labels a node's children must carry when licensed by rule, or
+    None when its guard does not hold on this (symbol-independent) stack."""
+    if rule.guard is not None:
+        if not stack or stack[0] != rule.guard:
             return None
-        tail = stack[1:]
-    else:
-        tail = stack
-    rhs = p.rhs
-    if not rhs:
-        return [LeafLabel("")]
-    specs: list[Label] = []
-    for s in rhs:
-        if s in g.symbols.nonterminal_set:
-            specs.append(NodeLabel(s, tail))
-        else:
-            specs.append(LeafLabel(s))
-    return specs
+        stack = stack[1:]
+    return [
+        LeafLabel(c.symbol) if c.op is None else NodeLabel(c.symbol, stack if c.op == COPY else (c.value,) + stack)
+        for c in rule.children
+    ]
 
 
 def validate_derivation_tree(g: IndexedGrammar, t: DerivationTree) -> ValidationReport:
@@ -372,10 +366,10 @@ def validate_derivation_tree(g: IndexedGrammar, t: DerivationTree) -> Validation
             errors.append((a, "stack", f"stack {lab.stack} uses undeclared indices"))
             continue
         actual = [t.labels[c] for c in t.domain.children(a)]
-        for k, p in enumerate(g.productions):
-            if p.lhs != lab.symbol:
+        for k, rule in enumerate(g.stack_rules):
+            if rule.mother != lab.symbol:
                 continue
-            specs = _child_specs(g, p, lab.stack)
+            specs = _child_specs(rule, lab.stack)
             if specs is not None and specs == actual:
                 license[a] = k
                 break
@@ -450,10 +444,10 @@ class _SizedEnumerator:
         """The entry of one key; yields each child key it needs, in order,
         and is sent back that key's entry."""
         out = []
-        for pi, p in enumerate(self.g.productions):
-            if p.lhs != sym:
+        for pi, rule in enumerate(self.g.stack_rules):
+            if rule.mother != sym:
                 continue
-            specs = _child_specs(self.g, p, stack)
+            specs = _child_specs(rule, stack)
             if specs is None:
                 continue
             self.stats.steps += 1

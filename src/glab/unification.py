@@ -45,7 +45,6 @@ from .features import (
     SolveResult,
     ValEq,
     ValueClash,
-    _first_cycle,
     solve,
     solve_rooted,
 )
@@ -323,6 +322,22 @@ class SimpleUnificationGrammar:
         return tuple(productions), lexicon
 
     @cached_property
+    def _licences(self) -> dict[tuple[str, tuple[tuple[str, Schema], ...]], int]:
+        """validate_cstructure's licence table: the number of the first
+        combined rule with each mother and daughters' (category, schema)
+        pairs, where a lexicon rule's one daughter is (word, schema).  The
+        daughters of a production are nonterminals and that of a lexicon
+        rule is a terminal or "", so the two kinds of key never meet."""
+        table = {}
+        for k, r in enumerate(self.combined_rules):
+            if isinstance(r, LexRule):
+                daughters = ((r.word, r.schema),)
+            else:
+                daughters = tuple((d.category, d.schema) for d in r.daughters)
+            table.setdefault((r.mother, daughters), k)
+        return table
+
+    @cached_property
     def single_char_terminals(self) -> bool:
         return all(len(t) == 1 for t in self.terminals)
 
@@ -417,7 +432,6 @@ def validate_cstructure(g: SimpleUnificationGrammar, cs: CStructure) -> Validati
         errors.append((ROOT, "root", f"root must carry the start symbol {g.start!r}"))
     if cs.domain.out_degree(ROOT) == 0:
         errors.append((ROOT, "root", "the root must be licensed by a rule"))
-    n_prods = len(g.productions)
     for a in cs.domain.sorted_addresses:
         cat = cs.categories[a]
         if cs.domain.out_degree(a) == 0:
@@ -428,20 +442,9 @@ def validate_cstructure(g: SimpleUnificationGrammar, cs: CStructure) -> Validati
             errors.append((a, "symbol", f"{cat!r} is not a nonterminal of the grammar"))
             continue
         kids = cs.domain.children(a)
-        actual = [(cs.categories[c], cs.eqsets[c]) for c in kids]
-        found = None
-        for k, p in enumerate(g.productions):
-            if p.mother != cat or len(p.daughters) != len(actual):
-                continue
-            if all(d.category == ac and d.schema == asch for d, (ac, asch) in zip(p.daughters, actual)):
-                found = k
-                break
-        if found is None and len(kids) == 1 and cs.domain.out_degree(kids[0]) == 0:
-            leaf_cat, leaf_schema = actual[0]
-            for k, r in enumerate(g.lexicon):
-                if r.mother == cat and r.word == leaf_cat and r.schema == leaf_schema:
-                    found = n_prods + k
-                    break
+        found = g._licences.get((cat, tuple((cs.categories[c], cs.eqsets[c]) for c in kids)))
+        if found is not None and found >= len(g.productions) and cs.domain.out_degree(kids[0]):
+            found = None  # a lexicon rule licenses only a leaf daughter
         if found is None:
             errors.append((a, "license", f"no rule licenses {cat!r} with these children"))
         else:
@@ -505,19 +508,19 @@ def _sumset(a: int, b: int, cap: int) -> int:
     return out & cap
 
 
-def _size_chart(g: SimpleUnificationGrammar, word: Word, ceiling: int) -> dict[tuple[str, int, int], int]:
+def _size_chart(g: SimpleUnificationGrammar, word: Word, max_nodes: int) -> dict[tuple[str, int, int], int]:
     """The context-free backbone of a word: for each (category, i, j), the
-    bitmask of the sizes up to ceiling of the trees that the productions and
-    the lexicon build over word[i:j], schemata aside.
+    bitmask of the sizes up to max_nodes of the trees that the productions
+    and the lexicon build over word[i:j], schemata aside.
 
     Spans go by length.  Within a span a unary rule, a unit cycle or an
     empty-string daughter can feed a category back into the same span, so
-    the productions rerun until no mask grows; masks are bounded by the
-    ceiling, so that ends.  Without an empty-string lexicon entry no tree
+    the productions rerun until no mask grows; masks are bounded by
+    max_nodes, so that ends.  Without an empty-string lexicon entry no tree
     spans an empty slice, and empty spans are not visited.
     """
     n = len(word)
-    cap = (1 << (ceiling + 1)) - 1
+    cap = (1 << (max_nodes + 1)) - 1
     lex = 4 & cap  # a lexicon rule builds a tree of two nodes
     chart: dict[tuple[str, int, int], int] = {}
 
@@ -574,7 +577,7 @@ class _SizedCsEnumerator:
         self.word = word
         self.budget = budget
         self.stats = stats
-        self.chart = _size_chart(g, word, _size_ceiling(g, len(word), budget.max_nodes))
+        self.chart = _size_chart(g, word, budget.max_nodes)
         self.memo: dict[tuple[str, int, int, int], tuple] = {}
         # id of a memo entry -> its rooted structure; the memo keeps the
         # entries alive, so their ids stay theirs
@@ -684,29 +687,6 @@ class _SizedCsEnumerator:
         n = len(self.word)
         sizes = _sizes(self.chart.get((self.g.start, 0, n), 0))
         return _capped((self.subtrees(self.g.start, 0, n, size) for size in sizes), self.budget, self.stats)
-
-
-def _size_ceiling(g: SimpleUnificationGrammar, n: int, max_nodes: int) -> int:
-    """A sound upper bound on c-structure sizes over an n-symbol word.
-
-    Without empty-string lexicon entries every leaf consumes a terminal, and
-    without unit-production cycles a unary chain cannot repeat a category, so
-    tree sizes are bounded; otherwise structures of every size may exist and
-    the size chart must run up to max_nodes.
-    """
-    if any(not r.word for r in g.lexicon):
-        return max_nodes
-    # the unary productions as edges mother -> daughter, one per rule number
-    succ: dict[str, dict[int, str]] = {a: {} for a in g.nonterminals}
-    for k, p in enumerate(g.productions):
-        if len(p.daughters) == 1:
-            succ[p.mother][k] = p.daughters[0].category
-    if _first_cycle(g.nonterminals, succ) is not None:
-        return max_nodes
-    # n terminal leaves, their lexicon mothers, under n-1 branching nodes,
-    # joined by unary chains of at most one node per category
-    bound = 3 * n + (2 * n + 1) * len(g.nonterminals) + 2
-    return min(max_nodes, bound)
 
 
 def _node_edges(node) -> tuple[dict[TreeAddress, str], list[tuple[Schema, TreeAddress, TreeAddress]]]:

@@ -425,8 +425,8 @@ def all_words(terminals, maxlen):
 
 def unary_chain(links: int, empty_entry: bool = False) -> SimpleUnificationGrammar:
     """S -> C0, Ci -> Ci+1 up to C(links-1) -> a, all with empty schemata;
-    with empty_entry, also an unreachable lex E -> _, which makes the size
-    ceiling the node cap."""
+    with empty_entry, also an unreachable lex E -> _, so that the size chart
+    visits the empty spans too."""
     cats = [f"C{i}" for i in range(links)]
     lines = [f"nonterminals S {' '.join(cats)}{' E' if empty_entry else ''}", "terminals a", "start S"]
     lines += [f"rule {m} -> {d} {{ }}" for m, d in zip(["S"] + cats, cats)]

@@ -36,6 +36,7 @@ from glab import (
     validate_derivation_tree,
 )
 from glab.indexed import terminal_string, terminal_symbols
+from glab.stackengine import COPY, PUSH, Child, Rule
 
 from helpers import FUZZ_BUDGET, indexed_language_by_trees, rand_reduced_marked_indexed, shallow_recursion
 
@@ -259,6 +260,72 @@ def test_reduced_form_of_every_production_shape(rule, reduced):
     report = reduced_form_check(shapes_grammar(rule))
     assert report.is_reduced is reduced
     assert report.offenders == (() if reduced else (1,))
+
+
+# each production shape above, its compiled rule, and the children it gives
+# an A whose stack is (f, $), written out by hand
+SHAPE_TREES = [
+    (Push("A", "B", "f"), Rule("A", None, (Child("B", PUSH, "f"),)), [NodeLabel("B", ("f", "f", "$"))]),
+    (Pop("A", "f", ("B",)), Rule("A", "f", (Child("B", COPY),)), [NodeLabel("B", ("$",))]),
+    (
+        Plain("A", ("B", "C")),
+        Rule("A", None, (Child("B", COPY), Child("C", COPY))),
+        [NodeLabel("B", ("f", "$")), NodeLabel("C", ("f", "$"))],
+    ),
+    (Plain("A", ("a",)), Rule("A", None, (Child("a"),)), [LeafLabel("a")]),
+    (Plain("A", ()), Rule("A", None, (Child(""),)), [LeafLabel("")]),
+    (Pop("A", "f", ()), Rule("A", "f", (Child(""),)), [LeafLabel("")]),
+    (Pop("A", "f", ("a",)), Rule("A", "f", (Child("a"),)), [LeafLabel("a")]),
+    (
+        Pop("A", "f", ("B", "C")),
+        Rule("A", "f", (Child("B", COPY), Child("C", COPY))),
+        [NodeLabel("B", ("$",)), NodeLabel("C", ("$",))],
+    ),
+    (Plain("A", ("B",)), Rule("A", None, (Child("B", COPY),)), [NodeLabel("B", ("f", "$"))]),
+    (
+        Plain("A", ("B", "a")),
+        Rule("A", None, (Child("B", COPY), Child("a"))),
+        [NodeLabel("B", ("f", "$")), LeafLabel("a")],
+    ),
+    (Plain("A", ("a", "a")), Rule("A", None, (Child("a"), Child("a"))), [LeafLabel("a"), LeafLabel("a")]),
+]
+
+
+def _shape_tree(children):
+    # S -> A^$ (rule 0), A -> A^f (2), then the node under test at 1.1 with
+    # the given children; a B or C child ends in B -> a (3) or C -> a (4)
+    labels = {ROOT: NodeLabel("S"), address(1): NodeLabel("A", ("$",)), address(1, 1): NodeLabel("A", ("f", "$"))}
+    for k, label in enumerate(children, 1):
+        labels[address(1, 1, k)] = label
+        if isinstance(label, NodeLabel):
+            labels[address(1, 1, k, 1)] = LeafLabel("a")
+    return tree_of(labels)
+
+
+@pytest.mark.parametrize("production, rule, children", SHAPE_TREES, ids=[str(p) for p, _, _ in SHAPE_TREES])
+def test_every_production_shape_compiles_and_licenses_its_children(production, rule, children):
+    g = shapes_grammar(production, Push("A", "A", "f"), Plain("B", ("a",)), Plain("C", ("a",)))
+    assert g.stack_rules[1] == rule
+    report = validate_derivation_tree(g, _shape_tree(children))
+    assert report.ok, report.errors
+    assert report.license[address(1, 1)] == 1
+    # one child changed: a nonterminal gains an f on its stack, a leaf
+    # swaps a for the empty string or back
+    first = children[0]
+    if isinstance(first, NodeLabel):
+        changed = NodeLabel(first.symbol, ("f",) + first.stack)
+    else:
+        changed = LeafLabel("" if first.symbol else "a")
+    report = validate_derivation_tree(g, _shape_tree([changed] + children[1:]))
+    assert [(a, cond) for a, cond, _ in report.errors] == [(address(1, 1), "license")]
+
+
+def test_of_two_identical_productions_the_first_licenses():
+    sym = SymbolTable(("S", "A"), ("a",), ("f",))
+    g = IndexedGrammar(sym, (Push("S", "A", "f"), Pop("A", "f", ("a",))) * 2, "S")
+    t = tree_of({ROOT: NodeLabel("S"), address(1): NodeLabel("A", ("f",)), address(1, 1): LeafLabel("a")})
+    assert validate_derivation_tree(g, t).license == {ROOT: 0, address(1): 1}
+    assert [validate_derivation_tree(g, u).license for u in enumerate_derivations(g)] == [{ROOT: 0, address(1): 1}] * 4
 
 
 def test_marked_index_end_check():

@@ -63,7 +63,7 @@ from glab import (
     well_defined_check,
 )
 
-from glab.unification import _size_ceiling, _size_chart
+from glab.unification import _size_chart
 
 from helpers import FUZZ_BUDGET, all_words, rand_general_ugi, rand_reduced_ugi, rand_ugi_cstructure, shallow_recursion
 
@@ -271,6 +271,29 @@ def test_cstructure_validation_errors():
     assert any(cond == "license" for _, cond, _ in report.errors)
 
 
+def test_of_two_identical_rules_the_first_licenses():
+    g = agreement_grammar()
+    g = SimpleUnificationGrammar(
+        g.nonterminals, g.terminals, g.attributes, g.values, g.productions * 2, g.lexicon * 2, g.start
+    )
+    # combined rules: the production twice, then the four lexicon rules twice
+    assert validate_cstructure(g, agreement_cs("these", "dogs")).license == {ROOT: 0, address(1): 3, address(2): 5}
+
+
+def test_a_lexicon_daughter_with_daughters_of_its_own_is_not_licensed():
+    g = agreement_grammar()
+    cs = agreement_cs("this", "dog")
+    # the word under D has the lexicon rule's word and schema, and a child
+    under = address(1, 1, 1)
+    cs = CStructure(
+        domain_of(cs.domain.addresses | {under}),
+        {**dict(cs.categories), under: "this"},
+        {**dict(cs.eqsets), under: frozenset()},
+    )
+    report = validate_cstructure(g, cs)
+    assert [(a, cond) for a, cond, _ in report.errors] == [(address(1), "license"), (address(1, 1), "symbol")]
+
+
 def test_instantiate_and_collect():
     cs = agreement_cs("this", "dog")
     eqs = instantiate(cs.eqsets[address(1)], ROOT, address(1))
@@ -411,19 +434,16 @@ def test_sug_language_upto_rejects_a_negative_bound():
         sug_language_upto(agreement_grammar(), -1)
 
 
-def _copy_chain(links: int, closed: bool) -> SimpleUnificationGrammar:
-    # S -> a, plus the unit chain M0 -> M1 -> ... (back to M0 when closed)
+def _copy_chain(links: int) -> SimpleUnificationGrammar:
+    # S -> a, plus the unit chain M0 -> M1 -> ... -> M(links)
     names = [f"M{i}" for i in range(links + 1)]
-    targets = names[1:] + (names[:1] if closed else [])
-    chain = tuple(UProduction(m, (Daughter(t, copy_schema()),)) for m, t in zip(names, targets))
+    chain = tuple(UProduction(m, (Daughter(t, copy_schema()),)) for m, t in zip(names, names[1:]))
     return SimpleUnificationGrammar(("S", *names), ("a",), (), (), chain, (LexRule("S", "a", frozenset()),), "S")
 
 
 def test_unit_cycle_test_walks_long_chains_without_recursion():
     with shallow_recursion():
-        assert _size_ceiling(_copy_chain(299, closed=False), 1, 4096) < 4096
-        assert _size_ceiling(_copy_chain(299, closed=True), 1, 4096) == 4096
-        r = sug_membership(_copy_chain(299, closed=False), "a")
+        r = sug_membership(_copy_chain(299), "a")
     assert r.member and not r.exhausted
 
 

@@ -58,6 +58,19 @@ membership the member, witness, model, exhausted and reasons:
 The questions to the solver: 400 equation sets from rand_equation_set of
 tests/helpers.py (the generator of acceptance check 8, with its seed), each
 recorded as solve's consistent, diagnosis and model.
+
+The questions to the checkers, each recorded as the report's ok, errors and
+license, for every tree of a stream and for three tampered copies of it,
+each with one node changed at a place a seeded choice picks:
+- validate_derivation_tree on the enumerate_derivations trees of
+  fixtures/example1.ixg and example2.ixg and of 120
+  rand_reduced_marked_indexed grammars; a copy changes one inner node's
+  stack or symbol, or one leaf;
+- validate_cstructure on the enumerate_cstructures structures of
+  fixtures/agreement.ugr, of 8 grammars of the reference-sweep corpus (the
+  words of their templates), and of 30 rand_arbitrary_sug and 30
+  rand_general_ugi grammars, every word up to length 3 or 2; a copy changes
+  one inner node's category, one leaf, or one non-root node's schema.
 """
 
 from __future__ import annotations
@@ -110,6 +123,8 @@ STEP_SWEEP = (
 STEP_SWEEP_LIMIT = 832040
 SOLVER_SEED = 80826
 SOLVER_SETS = 400
+CHECKER_SEED = 2026
+CHECKER_GRAMMARS = 30
 
 
 def _digest(texts) -> str:
@@ -406,6 +421,103 @@ def _solver_questions():
         yield f"solve/{k}", _solve, rand_equation_set(rng)
 
 
+def _report(check, g, tree) -> dict:
+    r = check(g, tree)
+    return {
+        "ok": r.ok,
+        "errors": [[str(a), cond, msg] for a, cond, msg in r.errors],
+        "license": None if r.license is None else [[str(a), k] for a, k in sorted(r.license.items())],
+    }
+
+
+def _other(rng, current, candidates):
+    """A seeded pick among the candidates other than current."""
+    return rng.choice(sorted(set(candidates) - {current}))
+
+
+def _tampered_trees(g, t, rng):
+    """Three copies of a derivation tree, each with one node changed: an
+    inner node's stack loses its top or gains a value, an inner node gets
+    another symbol, a leaf gets another symbol."""
+    inner = [a for a in t.domain.sorted_addresses if isinstance(t.labels[a], glab.NodeLabel)]
+    leaves = [a for a in t.domain.sorted_addresses if isinstance(t.labels[a], glab.LeafLabel)]
+    syms = g.symbols
+    a = rng.choice(inner)
+    label = t.labels[a]
+    stack = label.stack[1:] if label.stack and rng.random() < 0.5 else (rng.choice(syms.indices),) + label.stack
+    yield "stack", {**t.labels, a: glab.NodeLabel(label.symbol, stack)}
+    a = rng.choice(inner)
+    label = t.labels[a]
+    symbol = _other(rng, label.symbol, syms.nonterminals + ("?",))
+    yield "symbol", {**t.labels, a: glab.NodeLabel(symbol, label.stack)}
+    a = rng.choice(leaves)
+    yield "leaf", {**t.labels, a: glab.LeafLabel(_other(rng, t.labels[a].symbol, syms.terminals + ("", "?")))}
+
+
+def _indexed_checker_questions():
+    from helpers import rand_reduced_marked_indexed
+
+    rng = random.Random(CHECKER_SEED)
+    grammars = [
+        ("example1.ixg", _fixture("example1.ixg"), Budget(max_nodes=60)),
+        ("example2.ixg", _fixture("example2.ixg"), Budget(max_nodes=60)),
+    ]
+    budget = Budget(max_nodes=20, max_trees=40)
+    grammars += [(str(k), rand_reduced_marked_indexed(rng), budget) for k in range(4 * CHECKER_GRAMMARS)]
+    for name, g, budget in grammars:
+        for k, t in enumerate(glab.enumerate_derivations(g, budget)):
+            key = f"checker/indexed/{name}/{k}"
+            yield f"{key}/tree", _report, (glab.validate_derivation_tree, g, t)
+            for change, labels in _tampered_trees(g, t, random.Random(key)):
+                yield f"{key}/{change}", _report, (glab.validate_derivation_tree, g, glab.tree_of(labels))
+
+
+def _tampered_structures(g, cs, rng):
+    """Three copies of a c-structure, each with one node changed: an inner
+    node gets another category, a leaf another category, and a non-root
+    node another schema of the grammar's rules (or the empty or copy
+    schema)."""
+    addresses = cs.domain.sorted_addresses
+    inner = [a for a in addresses if cs.domain.out_degree(a)]
+    leaves = [a for a in addresses if not cs.domain.out_degree(a)]
+    a = rng.choice(inner)
+    yield "category", {**cs.categories, a: _other(rng, cs.categories[a], g.nonterminals + ("?",))}, cs.eqsets
+    a = rng.choice(leaves)
+    yield "leaf", {**cs.categories, a: _other(rng, cs.categories[a], g.terminals + ("", "?"))}, cs.eqsets
+    schemata = {r.schema for r in g.lexicon} | {d.schema for p in g.productions for d in p.daughters}
+    schemata |= {frozenset(), glab.copy_schema()}
+    a = rng.choice(addresses[1:])
+    others = sorted(schemata - {cs.eqsets[a]}, key=format_schema)
+    yield "schema", cs.categories, {**cs.eqsets, a: rng.choice(others)}
+
+
+def _cstructure_checker_questions():
+    from corpora import agreement_grammars
+    from helpers import all_words, rand_arbitrary_sug, rand_general_ugi
+
+    wide, small = Budget(max_nodes=20, max_trees=8), Budget(max_nodes=9, max_trees=8)
+    agreement = _fixture("agreement.ugr")
+    grammars = [("agreement.ugr", agreement, list(all_words(agreement.terminals, 3)), wide)]
+    for k, ag in enumerate(agreement_grammars(random.Random(CHECKER_SEED), 8, 3)):
+        words = sorted({w for cats in ag.templates for w in itertools.product(*(ag.words_of[c] for c in cats))})
+        grammars.append((f"sweep/{k}", ag.grammar, words, wide))
+    rng = random.Random(CHECKER_SEED)
+    for k in range(CHECKER_GRAMMARS):
+        g = rand_arbitrary_sug(rng)
+        grammars.append((f"arbitrary/{k}", g, list(all_words(g.terminals, 3)), small))
+    for k in range(CHECKER_GRAMMARS):
+        g = rand_general_ugi(rng)
+        grammars.append((f"general/{k}", g, list(all_words(g.terminals, 2)), small))
+    for name, g, words, budget in grammars:
+        for word in words:
+            for k, cs in enumerate(glab.enumerate_cstructures(g, word, budget)):
+                key = f"checker/cstructure/{name}/{_word_id(g, word)}/{k}"
+                yield f"{key}/tree", _report, (glab.validate_cstructure, g, cs)
+                for change, categories, eqsets in _tampered_structures(g, cs, random.Random(key)):
+                    tampered = glab.CStructure(cs.domain, categories, eqsets)
+                    yield f"{key}/{change}", _report, (glab.validate_cstructure, g, tampered)
+
+
 def questions():
     for seed in SWEEP_SEEDS:
         yield from _sweep_questions(seed)
@@ -420,6 +532,8 @@ def questions():
     yield from _random_stack_questions()
     yield from _step_sweep_questions()
     yield from _solver_questions()
+    yield from _indexed_checker_questions()
+    yield from _cstructure_checker_questions()
 
 
 def record(out: Path) -> int:
