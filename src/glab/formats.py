@@ -24,6 +24,7 @@ and print(parse(s)) == s whenever s is already canonical.
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
@@ -145,23 +146,8 @@ def print_indexed_grammar(g: IndexedGrammar) -> str:
 # --------------------------------------------------------------------------
 # Unification grammars
 
-
-def _retokenize(toks: list[str]) -> list[str]:
-    # split brace and separator characters into their own tokens
-    out: list[str] = []
-    for t in toks:
-        buf = ""
-        for c in t:
-            if c in "{};=":
-                if buf:
-                    out.append(buf)
-                    buf = ""
-                out.append(c)
-            else:
-                buf += c
-        if buf:
-            out.append(buf)
-    return out
+# a brace or separator character, or a run of anything else
+_TOKEN = re.compile(r"[{};=]|[^{};=]+")
 
 
 def _parse_equation(toks: list[str], lineno: int, values: frozenset[str]):
@@ -222,7 +208,7 @@ def parse_unification_grammar(text: str) -> SimpleUnificationGrammar:
     productions: list[UProduction] = []
     lexicon: list[LexRule] = []
     for lineno, raw_toks in rule_lines:
-        toks = _retokenize(raw_toks)
+        toks = [t for tok in raw_toks for t in _TOKEN.findall(tok)]
         head = toks[0]
         if head not in ("rule", "lex"):
             raise ParseError(f"expected 'rule' or 'lex', got {head!r}", lineno)

@@ -847,8 +847,10 @@ def ugi_normalize(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
     Steps: (i) push/pop daughters of rules with two or more daughters are
     detached through fresh unary nonterminals; (ii) rules with three or more
     (now all-copy) daughters are binarized with fresh nonterminals; (iii)
-    unary copy rules are eliminated by composing them with the non-unit rules
-    of their targets, to a fixpoint over the unit-reachability closure.
+    unary copy rules are eliminated: each nonterminal's unit-reachable set is
+    found in one walk, and every non-unit rule of a nonterminal b is copied
+    to each nonterminal that reaches b, in nonterminal order, keeping the
+    first of any duplicates.
     Terminals never occur inside productions, so no step moves them.
     """
     _require_ugi(g, "normalization")
@@ -876,7 +878,7 @@ def ugi_normalize(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
                 new_daughters.append(d)
             else:
                 x = fresh()
-                detached.append(UProduction(x, (Daughter(d.category, d.schema),)))
+                detached.append(UProduction(x, (d,)))
                 new_daughters.append(Daughter(x, copy))
         stage1.append(UProduction(p.mother, tuple(new_daughters)))
     stage1.extend(detached)
@@ -904,45 +906,24 @@ def ugi_normalize(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
     for p in stage2:
         if is_unit(p):
             unit_next.setdefault(p.mother, []).append(p.daughters[0].category)
-    closure: dict[str, list[str]] = {}
-    nt_order = list(g.nonterminals) + fresh_nts
-    for a in nt_order:
-        seen = [a]
-        frontier = [a]
-        while frontier:
-            b = frontier.pop(0)
-            for c in unit_next.get(b, ()):
-                if c not in seen:
-                    seen.append(c)
-                    frontier.append(c)
-        closure[a] = seen
+    # mothers[b]: every nonterminal whose unit rules reach b, b included, in order
+    nonterminals = g.nonterminals + tuple(fresh_nts)
+    mothers: dict[str, list[str]] = {}
+    for a in nonterminals:
+        reach, todo = {a}, [a]
+        while todo:
+            for c in unit_next.get(todo.pop(), ()):
+                if c not in reach:
+                    reach.add(c)
+                    todo.append(c)
+        for b in reach:
+            mothers.setdefault(b, []).append(a)
 
-    inv: dict[str, list[str]] = {a: [] for a in nt_order}
-    for a in nt_order:
-        for b in closure[a]:
-            inv[b].append(a)
-
-    productions: list[UProduction] = []
-    seen_prods: set[UProduction] = set()
-    for p in stage2:
-        if is_unit(p):
-            continue
-        for mother in inv[p.mother]:
-            q = UProduction(mother, p.daughters)
-            if q not in seen_prods:
-                seen_prods.add(q)
-                productions.append(q)
-    lexicon: list[LexRule] = []
-    seen_lex: set[LexRule] = set()
-    for r in g.lexicon:
-        for mother in inv[r.mother]:
-            q = LexRule(mother, r.word, r.schema)
-            if q not in seen_lex:
-                seen_lex.add(q)
-                lexicon.append(q)
-
+    # dicts as ordered sets: the first of each composed rule is kept
+    productions = dict.fromkeys(UProduction(m, p.daughters) for p in stage2 if not is_unit(p) for m in mothers[p.mother])
+    lexicon = dict.fromkeys(LexRule(m, r.word, r.schema) for r in g.lexicon for m in mothers[r.mother])
     return SimpleUnificationGrammar(
-        g.nonterminals + tuple(fresh_nts),
+        nonterminals,
         g.terminals,
         g.attributes,
         g.values,
@@ -999,32 +980,29 @@ Sequence = tuple[TreeAddress, ...]
 
 
 def canonical_fs(cs: CStructure) -> SolveResult:
-    """Build the canonical model by mapping nodes to sequences top-down.
+    """Build the canonical model in one pass over the addresses in order.
 
     The root gets a sequence of height+1 copies of the root address; a copy
     daughter shares its mother's sequence, a pop daughter drops the front
-    element, a push daughter prepends its own address.  Transition edges are
-    laid down exactly where some node demands them (next to the popped
-    sequence, idx to the demanded value's node); leaves with empty schemata
-    become isolated named nodes.  The only possible failure is two nodes with
+    element, a push daughter prepends its own address.  A pop demands its
+    mother's sequence and a push its own: a demanded sequence gets a next
+    edge to itself without its front element and an idx edge to the node of
+    the demanded value.  Leaves with empty schemata become isolated named
+    nodes.  Nodes are numbered by first occurrence in address order, then
+    the values in sorted order.  The only possible failure is two nodes with
     equal sequences demanding distinct idx values.
     """
-    n = cs.domain.height
-    seqs: dict[TreeAddress, Sequence | None] = {ROOT: (ROOT,) * (n + 1)}
+    # an isolated leaf is keyed by its own address, which equals no sequence
+    seqs: dict[TreeAddress, Sequence | TreeAddress] = {ROOT: (ROOT,) * (cs.domain.height + 1)}
     pair: tuple[str, str] | None = None
     demands: dict[Sequence, tuple[str, TreeAddress]] = {}
-    next_sources: list[Sequence] = []
-
-    # (mother, daughter) pairs in address order, read from the domain
-    todo = [(ROOT, d) for d in reversed(cs.domain.children(ROOT))]
-    while todo:
-        mother, x = todo.pop()
-        todo.extend((x, d) for d in reversed(cs.domain.children(x)))
+    # address order puts a mother before her daughters
+    for x in cs.domain.sorted_addresses[1:]:
         schema = cs.eqsets[x]
         if not schema:
-            seqs[x] = None  # isolated named node
             if cs.domain.out_degree(x) > 0:
                 raise PreconditionError(f"internal node {x} has an empty schema; cannot map its daughters")
+            seqs[x] = x
             continue
         c = classify_schema(schema)
         if c is None:
@@ -1037,6 +1015,7 @@ def canonical_fs(cs: CStructure) -> SolveResult:
                 raise PreconditionError(f"schema at {x} uses attribute pair {dpair}, elsewhere {pair}")
         # a mother's sequence is set and has 2 or more entries: her schema is
         # nonempty, and at depth d < height she has seen at most d pops
+        mother = x.parent
         mother_seq = seqs[mother]
         if kind == "copy":
             seqs[x] = mother_seq
@@ -1045,45 +1024,19 @@ def canonical_fs(cs: CStructure) -> SolveResult:
             seqs[x] = mother_seq[1:]
             demanded, at = mother_seq, mother
         else:
-            seqs[x] = (x,) + mother_seq
-            demanded, at = seqs[x], x
-        next_sources.append(demanded)
-        assert value is not None
-        have = demands.get(demanded)
-        if have is not None and have[0] != value:
-            idx_attr = (pair or STACK_ATTRS)[1]
-            return Inconsistent(ValueClash((have[1], (idx_attr,)), have[0], value))
-        if have is None:
-            demands[demanded] = (value, at)
+            seqs[x] = demanded = (x,) + mother_seq
+            at = x
+        have = demands.setdefault(demanded, (value, at))
+        if have[0] != value:
+            return Inconsistent(ValueClash((have[1], (dpair[1],)), have[0], value))
 
     number: dict = {}
-    nodes: list[int] = []
-    names: dict[TreeAddress, int] = {}
-
-    def assign(key) -> int:
-        if key not in number:
-            number[key] = len(nodes)
-            nodes.append(len(nodes))
-        return number[key]
-
-    for x in cs.domain.sorted_addresses:
-        s = seqs[x]
-        key = ("seq", s) if s is not None else ("lone", x)
-        names[x] = assign(key)
-    values_in_order = sorted({v for v, _ in demands.values()})
-    for v in values_in_order:
-        assign(("val", v))
-
-    delta: dict[int, dict[str, int]] = {}
+    names = {x: number.setdefault(s, len(number)) for x, s in seqs.items()}
+    alpha = dict(enumerate(sorted({v for v, _ in demands.values()}), len(number)))
+    number.update((v, q) for q, v in alpha.items())
     next_attr, idx_attr = pair or STACK_ATTRS
-    for s in next_sources:
-        q = number[("seq", s)]
-        delta.setdefault(q, {})[next_attr] = number[("seq", s[1:])]
-    for s, (v, _) in demands.items():
-        q = number[("seq", s)]
-        delta.setdefault(q, {})[idx_attr] = number[("val", v)]
-    alpha = {number[("val", v)]: v for v in values_in_order}
-    return Consistent(FeatureStructure(tuple(nodes), delta, alpha, names))
+    delta = {number[s]: {next_attr: number[s[1:]], idx_attr: number[v]} for s, (v, _) in demands.items()}
+    return Consistent(FeatureStructure(tuple(range(len(number))), delta, alpha, names))
 
 
 # --------------------------------------------------------------------------

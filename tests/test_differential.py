@@ -129,3 +129,25 @@ def test_record_writes_a_raising_question_as_its_error_and_goes_on(tmp_path, mon
 def test_questions_include_the_long_unary_chain():
     ids = [qid for qid, _, _ in differential.questions()]
     assert [qid for qid in ids if qid.startswith("chain")] == ["chain600/a/member", "chain600/a/stream", "chain600/language/1"]
+
+
+def test_construction_questions_ask_each_rewrite_of_each_grammar_kind():
+    ids = [qid for qid, _, _ in differential._construction_questions()]
+    rewrites = {}
+    for qid in ids:
+        if qid.startswith("construct/"):
+            op = qid.rsplit("/", 1)[1]
+            rewrites[op] = rewrites.get(op, 0) + 1
+    # 200 indexed grammars (fuzz 50, acceptance 5's reversals 100, acceptance
+    # 7's marked 50) and 350 unification ones (fuzz 50, acceptance 5's 200,
+    # acceptance 7's 100)
+    assert rewrites == dict.fromkeys(("mark_index_end", "u_transform"), 200) | dict.fromkeys(
+        ("ugi_normalize", "sink_map_root", "reverse_u"), 350
+    )
+    canonical = [qid for qid in ids if qid.startswith("canonical/")]
+    assert len(canonical) == 1000 + 6  # acceptance 6, and d^2 ... d^64
+    assert canonical[-1] == "canonical/example2_u.ugr/64"
+    u = differential._rewrite(differential.INDEXED_REWRITES["u_transform"], differential._fixture("example2.ixg"))
+    assert u["text"].endswith("# rule-map: 7 -> lexicon 0\n")
+    answer = differential._canonical(differential.glab.ugi_membership(differential._fixture("example2_u.ugr"), "dd").witness)
+    assert answer["consistent"] and answer["diagnosis"] is None and answer["model"]

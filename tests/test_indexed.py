@@ -12,6 +12,7 @@ import pytest
 
 from glab import (
     Budget,
+    DerivationTree,
     GrammarError,
     IndexedGrammar,
     LeafLabel,
@@ -132,6 +133,30 @@ def test_grammar_rejects_undeclared_symbols():
         IndexedGrammar(sym, (Plain("S", ("z",)),), "S")
     with pytest.raises(GrammarError):
         IndexedGrammar(sym, (), "Z")
+
+
+@pytest.mark.parametrize("bad", ["", " ", "a b"])
+def test_symbol_table_rejects_empty_and_spaced_symbols(bad):
+    with pytest.raises(GrammarError, match=r"^terminal symbol must be a non-empty token without whitespace: "):
+        SymbolTable(("S",), ("a", bad), ())
+
+
+def test_grammar_errors_name_the_rule_and_the_symbol():
+    sym = SymbolTable(("S",), ("a",), ("f",))
+    with pytest.raises(GrammarError, match=r"^rule 1: left-hand side 'a' is not a nonterminal$"):
+        IndexedGrammar(sym, (Plain("S", ("a",)), Plain("a", ("S",))), "S")
+    with pytest.raises(GrammarError, match=r"^rule 0: 'h' is not a declared index$"):
+        IndexedGrammar(sym, (Push("S", "S", "h"),), "S")
+
+
+def test_derivation_tree_shape_errors():
+    domain = lockstep_tree().domain
+    with pytest.raises(GrammarError, match=r"^labels must cover exactly the tree domain$"):
+        DerivationTree(domain, {ROOT: NodeLabel("S")})
+    with pytest.raises(GrammarError, match=r"^internal node eps must carry a nonterminal label$"):
+        tree_of({ROOT: LeafLabel("a"), address(1): LeafLabel("a")})
+    with pytest.raises(GrammarError, match=r"^leaf 1 must carry a terminal or empty label$"):
+        tree_of({ROOT: NodeLabel("S"), address(1): NodeLabel("S")})
 
 
 def test_production_rendering():

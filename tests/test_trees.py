@@ -91,6 +91,11 @@ def test_domain_requires_root():
         domain_of({address(1)})
 
 
+def test_an_empty_domain_is_rejected():
+    with pytest.raises(GrammarError, match="^a tree domain must contain the root$"):
+        TreeDomain(frozenset())
+
+
 def test_domain_queries():
     d = domain_of({ROOT, address(1), address(2), address(1, 1)})
     assert d.out_degree(ROOT) == 2

@@ -49,6 +49,7 @@ from glab import (
     instantiate,
     parse_unification_grammar,
     pop_schema,
+    print_unification_grammar,
     push_schema,
     satisfies_set,
     sink_map_root,
@@ -193,6 +194,28 @@ def test_grammar_validation():
         UProduction("S", ())
     with pytest.raises(GrammarError):
         LexRule("S", "w", copy_schema())
+
+
+def test_grammar_validation_messages():
+    copy = copy_schema()
+    with pytest.raises(GrammarError, match="^schema entries must be arrow equations$"):
+        Daughter("S", frozenset({ValEq(ROOT, ("num",), "sg")}))
+    with pytest.raises(GrammarError, match="^duplicate value declaration$"):
+        SimpleUnificationGrammar(("S",), (), (), ("sg", "sg"), (), (), "S")
+    with pytest.raises(GrammarError, match=r"^rule 0: undeclared value \['pl'\]$"):
+        SimpleUnificationGrammar(
+            ("S",), (), ("num",), ("sg",),
+            (UProduction("S", (Daughter("S", frozenset({ArrowValEq(UP, ("num",), "pl")})),)),),
+            (), "S",
+        )
+    with pytest.raises(GrammarError, match="^rule 1: mother 'a' is not a nonterminal$"):
+        SimpleUnificationGrammar(
+            ("S",), ("a",), (), (),
+            (UProduction("S", (Daughter("S", copy),)), UProduction("a", (Daughter("S", copy),))),
+            (), "S",
+        )
+    with pytest.raises(GrammarError, match="^rule 0: daughter 'a' is not a nonterminal$"):
+        SimpleUnificationGrammar(("S",), ("a",), (), (), (UProduction("S", (Daughter("a", copy),)),), (), "S")
 
 
 def test_rule_rendering():
@@ -694,6 +717,49 @@ def test_normalize_is_idempotent():
     assert ugi_normalize(norm) == norm
 
 
+UNIT_CYCLE = """nonterminals S A B C D
+terminals a c
+attributes next idx
+values f
+start S
+rule S -> A { up = dn } B { up = dn }
+rule A -> B { up = dn }
+rule B -> A { up = dn }
+rule B -> C { up = dn }
+rule D -> C { up = dn }
+rule S -> D { dn next = up ; dn idx = f }
+rule C -> C { up next = dn ; up idx = f }
+lex C -> c { }
+lex A -> a { }
+lex B -> a { }
+"""
+
+
+def test_normalize_composes_unit_cycles_and_chains_in_rule_then_nonterminal_order():
+    # A and B reach each other and C; D reaches C.  Each non-unit rule of b
+    # goes to every nonterminal that reaches b, in declaration order, and a
+    # rule composed twice (A -> a through A and through B) is kept once.
+    norm = ugi_normalize(parse_unification_grammar(UNIT_CYCLE))
+    assert print_unification_grammar(norm) == """nonterminals S A B C D
+terminals a c
+attributes next idx
+values f
+start S
+rule S -> A { up = dn } B { up = dn }
+rule S -> D { dn next = up ; dn idx = f }
+rule A -> C { up next = dn ; up idx = f }
+rule B -> C { up next = dn ; up idx = f }
+rule C -> C { up next = dn ; up idx = f }
+rule D -> C { up next = dn ; up idx = f }
+lex A -> c { }
+lex B -> c { }
+lex C -> c { }
+lex D -> c { }
+lex A -> a { }
+lex B -> a { }
+"""
+
+
 # --------------------------------------------------------------------------
 # Root wrapping
 
@@ -784,6 +850,84 @@ def test_canonical_fs_detects_demand_clashes():
     assert {res.diagnosis.value_a, res.diagnosis.value_b} == {"v0", "v1"}
     # the least-model route reaches the same verdict
     assert isinstance(generates_check(cs), Inconsistent)
+
+
+def test_canonical_fs_model_of_a_copy_a_push_a_pop_and_isolated_leaves():
+    # sequences are numbered in address order, then the values sorted; the
+    # push at 1 and the pop at 11 demand the same sequence, the pop at 3 the root's
+    cs = CStructure(
+        domain_of({ROOT, address(1), address(1, 1), address(1, 1, 1), address(2), address(2, 1), address(3), address(3, 1)}),
+        {
+            ROOT: "S",
+            address(1): "A",
+            address(1, 1): "B",
+            address(1, 1, 1): "a",
+            address(2): "C",
+            address(2, 1): "b",
+            address(3): "D",
+            address(3, 1): "c",
+        },
+        {
+            address(1): push_schema("next", "idx", "f"),
+            address(1, 1): pop_schema("next", "idx", "f"),
+            address(1, 1, 1): frozenset(),
+            address(2): copy_schema(),
+            address(2, 1): frozenset(),
+            address(3): pop_schema("next", "idx", "g"),
+            address(3, 1): frozenset(),
+        },
+    )
+    m = canonical_fs(cs).model
+    assert m.nodes == tuple(range(8))
+    assert m.delta == {1: {"next": 0, "idx": 6}, 0: {"next": 4, "idx": 7}}
+    assert m.alpha == {6: "f", 7: "g"}
+    assert m.names == {
+        ROOT: 0,
+        address(1): 1,
+        address(1, 1): 0,
+        address(1, 1, 1): 2,
+        address(2): 0,
+        address(2, 1): 3,
+        address(3): 4,
+        address(3, 1): 5,
+    }
+
+
+@pytest.mark.parametrize(
+    "schemata, term",
+    [
+        # pops at 11 and 12 demand their mother's sequence: the term names 1
+        (
+            {
+                (1,): copy_schema(),
+                (1, 1): pop_schema("next", "idx", "f"),
+                (1, 1, 1): frozenset(),
+                (1, 2): pop_schema("next", "idx", "g"),
+                (1, 2, 1): frozenset(),
+            },
+            address(1),
+        ),
+        # a push demands its own sequence, which the pop below its copy
+        # daughter 111 demands again: the term names the pushing 11
+        (
+            {
+                (1,): copy_schema(),
+                (1, 1): push_schema("next", "idx", "f"),
+                (1, 1, 1): copy_schema(),
+                (1, 1, 1, 1): pop_schema("next", "idx", "g"),
+                (1, 1, 1, 1, 1): frozenset(),
+            },
+            address(1, 1),
+        ),
+    ],
+)
+def test_canonical_fs_clash_names_where_the_first_demand_was_made(schemata, term):
+    eqsets = {address(*x): schema for x, schema in schemata.items()}
+    categories = {x: "S" if schema else "a" for x, schema in eqsets.items()}
+    cs = CStructure(domain_of({ROOT, *eqsets}), {ROOT: "S", **categories}, eqsets)
+    res = canonical_fs(cs)
+    assert isinstance(res, Inconsistent)
+    assert res.diagnosis == ValueClash((term, ("idx",)), "f", "g")
 
 
 def test_canonical_fs_preconditions():

@@ -71,6 +71,17 @@ each with one node changed at a place a seeded choice picks:
   words of their templates), and of 30 rand_arbitrary_sug and 30
   rand_general_ugi grammars, every word up to length 3 or 2; a copy changes
   one inner node's category, one leaf, or one non-root node's schema.
+
+The questions to the constructions:
+- every rewrite that takes the grammar's kind (mark_index_end and u_transform
+  of an indexed grammar; ugi_normalize, sink_map_root and reverse_u of a
+  unification grammar), recorded as its printed output with the rule map of
+  u_transform and reverse_u, on the benchmark's fuzz-equiv pool, on the
+  corpus of acceptance check 5 (each grammar, its sink_map_root and the
+  reverse_u of that) and on that of acceptance check 7;
+- canonical_fs, recorded as solve is, on the 1,000 c-structures of
+  acceptance check 6 and on the ugi_membership witnesses of the members of
+  example2_u.ugr in the deep-stack corpora.
 """
 
 from __future__ import annotations
@@ -404,13 +415,16 @@ def _step_sweep_questions():
                 yield f"steps/{qid}/{cap}", ask, (g, maxlen, replace(budget, max_steps=cap))
 
 
-def _solve(eqs, names) -> dict:
-    r = glab.solve(eqs, names)
+def _verdict(r) -> dict:
     return {
         "consistent": r.consistent,
         "diagnosis": None if r.consistent else str(r.diagnosis),
         "model": _model_text(r.model) if r.consistent else None,
     }
+
+
+def _solve(eqs, names) -> dict:
+    return _verdict(glab.solve(eqs, names))
 
 
 def _solver_questions():
@@ -518,6 +532,69 @@ def _cstructure_checker_questions():
                     yield f"{key}/{change}", _report, (glab.validate_cstructure, g, tampered)
 
 
+def _with_map(print_grammar, grammar, corr) -> str:
+    return print_grammar(grammar) + glab.render_correspondence(corr)
+
+
+# the rewrites of each grammar kind, each giving its printed output
+INDEXED_REWRITES = {
+    "mark_index_end": lambda g: glab.print_indexed_grammar(glab.mark_index_end(g)),
+    "u_transform": lambda g: _with_map(glab.print_unification_grammar, *glab.u_transform(g)),
+}
+UNIFICATION_REWRITES = {
+    "ugi_normalize": lambda g: glab.print_unification_grammar(glab.ugi_normalize(g)),
+    "sink_map_root": lambda g: glab.print_unification_grammar(glab.sink_map_root(g)),
+    "reverse_u": lambda g: _with_map(glab.print_indexed_grammar, *glab.reverse_u(g)),
+}
+
+
+def _rewrite(rewrite, g) -> dict:
+    return {"text": rewrite(g)}
+
+
+def _canonical(cs) -> dict:
+    return _verdict(glab.canonical_fs(cs))
+
+
+def _construction_questions():
+    from corpora import deep_corpus, fuzz_corpus
+    from helpers import rand_general_ugi, rand_reduced_marked_indexed, rand_reduced_ugi, rand_ugi_cstructure
+    from workloads import DEEP_D_LENGTHS, DEEP_D_MAX, DEEP_RUNGS, DEEP_STEP, FUZZ_PER_FAMILY, FUZZ_POOL_SEED
+
+    pool = fuzz_corpus(random.Random(FUZZ_POOL_SEED), FUZZ_PER_FAMILY)
+    grammars = [(f"fuzz/{i}/{case.family}", case.grammar) for i, case in enumerate(pool)]
+    rng = random.Random(50526)
+    for i in range(100):
+        g = rand_reduced_ugi(rng)
+        sunk = glab.sink_map_root(g)
+        grammars += [(f"acceptance5/{i}", g), (f"acceptance5/{i}/sunk", sunk)]
+        grammars.append((f"acceptance5/{i}/reversed", glab.reverse_u(sunk)[0]))
+    rng = random.Random(70726)
+    for family, make in (
+        ("mark", rand_reduced_marked_indexed),
+        ("normalize", rand_general_ugi),
+        ("sink", rand_reduced_ugi),
+    ):
+        grammars += [(f"acceptance7/{family}/{i}", make(rng)) for i in range(50)]
+    for name, g in grammars:
+        rewrites = INDEXED_REWRITES if isinstance(g, glab.IndexedGrammar) else UNIFICATION_REWRITES
+        for op, rewrite in rewrites.items():
+            yield f"construct/{name}/{op}", _rewrite, (rewrite, g)
+
+    rng = random.Random(60626)
+    for i in range(1000):
+        yield f"canonical/acceptance6/{i}", _canonical, (rand_ugi_cstructure(rng),)
+    g = _fixture("example2_u.ugr")
+    words = {
+        case.word
+        for seed in DEEP_SEEDS
+        for case in deep_corpus(random.Random(seed), DEEP_RUNGS, DEEP_STEP, DEEP_D_LENGTHS, DEEP_D_MAX)
+        if case.fixture == "example2_u.ugr" and case.member
+    }
+    for word in sorted(words, key=len):
+        yield f"canonical/example2_u.ugr/{len(word)}", _canonical, (glab.ugi_membership(g, word).witness,)
+
+
 def questions():
     for seed in SWEEP_SEEDS:
         yield from _sweep_questions(seed)
@@ -534,6 +611,7 @@ def questions():
     yield from _solver_questions()
     yield from _indexed_checker_questions()
     yield from _cstructure_checker_questions()
+    yield from _construction_questions()
 
 
 def record(out: Path) -> int:
