@@ -39,7 +39,7 @@ from typing import Iterator, Mapping, Union
 
 from .budget import Budget, DEFAULT_BUDGET, LanguageResult, MembershipResult, SearchStats
 from .errors import GrammarError
-from .stackengine import COPY, PUSH, Child, Fixpoint, Rule, Stack, Word, end_marker, reduced, terminal_word
+from .stackengine import COPY, PUSH, Child, Fixpoint, Machine, Rule, Stack, Word, end_marker, reduced, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
 
 
@@ -162,11 +162,12 @@ class IndexedGrammar:
         return terminal_word(text, self.symbols.terminal_set, self.single_char_terminals)
 
     @cached_property
-    def stack_rules(self) -> tuple[Rule, ...]:
+    def stack_rules(self) -> Machine:
         """The productions as stack-engine rules, numbered as here: a push
         pushes onto its one child, a pop is a guard over copying children,
         and a plain rule copies.  Terminals become leaves, an empty
-        right-hand side one empty-string leaf."""
+        right-hand side one empty-string leaf.  Cached, so every search of
+        this grammar shares the Machine's tables."""
         nts = self.symbols.nonterminal_set
         rules = []
         for p in self.productions:
@@ -175,7 +176,7 @@ class IndexedGrammar:
                 continue
             children = tuple(Child(s, COPY) if s in nts else Child(s) for s in p.rhs) or (Child(""),)
             rules.append(Rule(p.lhs, p.index if isinstance(p, Pop) else None, children))
-        return tuple(rules)
+        return Machine(rules)
 
 
 # --------------------------------------------------------------------------
@@ -216,11 +217,12 @@ class DerivationTree:
     def __post_init__(self) -> None:
         if set(self.labels) != self.domain.addresses:
             raise GrammarError("labels must cover exactly the tree domain")
-        for a in self.domain.sorted_addresses:
-            if self.domain.children(a):
-                if not isinstance(self.labels[a], NodeLabel):
+        d = self.domain
+        for a, kids, lab in zip(d.sorted_addresses, d.daughter_positions, d.in_order(self.labels)):
+            if kids:
+                if not isinstance(lab, NodeLabel):
                     raise GrammarError(f"internal node {a} must carry a nonterminal label")
-            elif not isinstance(self.labels[a], LeafLabel):
+            elif not isinstance(lab, LeafLabel):
                 raise GrammarError(f"leaf {a} must carry a terminal or empty label")
 
     def __eq__(self, other: object) -> bool:
@@ -239,7 +241,9 @@ class DerivationTree:
 
 
 def tree_of(labels: Mapping[TreeAddress, Label]) -> DerivationTree:
-    return DerivationTree(domain_of(labels.keys()), dict(labels))
+    """The tree of labels, its domain read in their order (domain_of)."""
+    labels = dict(labels)
+    return DerivationTree(domain_of(labels), labels)
 
 
 def terminal_symbols(t: DerivationTree) -> Word:
@@ -340,38 +344,68 @@ def _child_specs(rule: Rule, stack: Stack) -> list[Label] | None:
     ]
 
 
+def _licenses(rule: Rule, stack: Stack, actual: list[Label]) -> bool:
+    """Whether rule licenses a node with this stack and these children's
+    labels: the labels _child_specs gives, compared without building them."""
+    if len(rule.children) != len(actual):
+        return False
+    if rule.guard is not None:
+        if not stack or stack[0] != rule.guard:
+            return False
+        stack = stack[1:]
+    for c, lab in zip(rule.children, actual):
+        if c.op is None:
+            if type(lab) is not LeafLabel or lab.symbol != c.symbol:
+                return False
+        elif (
+            type(lab) is not NodeLabel
+            or lab.symbol != c.symbol
+            or lab.stack != (stack if c.op == COPY else (c.value,) + stack)
+        ):
+            return False
+    return True
+
+
 def validate_derivation_tree(g: IndexedGrammar, t: DerivationTree) -> ValidationReport:
     """Check the tree against the grammar and return the licensing map.
 
     Conditions: the root carries the start symbol with an empty stack and is
     internal; every internal node's children match exactly one production
     (the first matching production, in rule order, becomes its license);
-    leaves carry declared terminals or the empty string.
+    leaves carry declared terminals or the empty string.  A node's
+    candidates are its symbol's rules, from the grammar's index by mother
+    (Machine.by_mother), which keeps rule order.
     """
     errors: list[tuple[TreeAddress, str, str]] = []
     license: dict[TreeAddress, int] = {}
+    rules = g.stack_rules
+    by_mother = rules.by_mother
+    terminals, indices = g.symbols.terminal_set, g.symbols.index_set
     root_label = t.labels[ROOT]
     if not isinstance(root_label, NodeLabel) or root_label.symbol != g.start or root_label.stack:
         errors.append((ROOT, "root", f"root must be the start symbol {g.start!r} with an empty stack"))
-    for a in t.domain.sorted_addresses:
-        lab = t.labels[a]
+    labels = t.domain.in_order(t.labels)
+    # a licensed node's children carry its stack, popped or pushed by a
+    # declared index, so a stack is scanned only where no licence vouches
+    vouched = [False] * len(labels)
+    for i, a, kids, lab in zip(itertools.count(), t.domain.sorted_addresses, t.domain.daughter_positions, labels):
         if isinstance(lab, LeafLabel):
-            if lab.symbol and lab.symbol not in g.symbols.terminal_set:
+            if lab.symbol and lab.symbol not in terminals:
                 errors.append((a, "leaf", f"{lab.symbol!r} is not a terminal of the grammar"))
             continue
-        if lab.symbol not in g.symbols.nonterminal_set:
+        candidates = by_mother.get(lab.symbol)
+        if candidates is None and lab.symbol not in g.symbols.nonterminal_set:
             errors.append((a, "symbol", f"{lab.symbol!r} is not a nonterminal of the grammar"))
             continue
-        if not g.symbols.index_set.issuperset(lab.stack):
+        if not vouched[i] and not indices.issuperset(lab.stack):
             errors.append((a, "stack", f"stack {lab.stack} uses undeclared indices"))
             continue
-        actual = [t.labels[c] for c in t.domain.children(a)]
-        for k, rule in enumerate(g.stack_rules):
-            if rule.mother != lab.symbol:
-                continue
-            specs = _child_specs(rule, lab.stack)
-            if specs is not None and specs == actual:
+        actual = [labels[j] for j in kids]
+        for k in candidates or ():
+            if _licenses(rules[k], lab.stack, actual):
                 license[a] = k
+                for j in kids:
+                    vouched[j] = True
                 break
         else:
             errors.append((a, "license", f"no production licenses {lab.symbol!r} with stack {lab.stack} and these children"))
@@ -444,10 +478,9 @@ class _SizedEnumerator:
         """The entry of one key; yields each child key it needs, in order,
         and is sent back that key's entry."""
         out = []
-        for pi, rule in enumerate(self.g.stack_rules):
-            if rule.mother != sym:
-                continue
-            specs = _child_specs(rule, stack)
+        rules = self.g.stack_rules
+        for pi in rules.by_mother.get(sym, ()):
+            specs = _child_specs(rules[pi], stack)
             if specs is None:
                 continue
             self.stats.steps += 1

@@ -79,6 +79,20 @@ join, and SearchStats.improved the entries added or improved.
 Inside a search each terminal and index value is one character, coded in
 rule order: yields, stacks and demands are strings, which hash once and
 join, push, pop and find factors in C.  language and witness decode.
+
+The machine depends on the grammar alone, and so does most of a search's
+set-up.  A Machine, the compiled rules that each grammar class caches as
+stack_rules, keeps it, built once per grammar: the code and the coded
+rules, and per live-rule set (all rules for a language run; for a
+membership, those whose leaves its word has, which depend on the word's
+alphabet alone) the rules per mother, the cut pushes and the least-yield
+table.  That table is saturated at the largest length bound asked so far
+and read at each search's own: capping at K <= C is a homomorphism of the
+(min, +) arithmetic capped at C onto the one capped at K, so the values
+read are exactly those of a table built for the search (_YieldBound).  A
+search keeps only what is its own: the word, the entries, the jobs, the
+least yields of its stacks and the stats.  A witness is replayed on the source rules, in preorder, which
+is address order, so its tree is built without a sort (trees.domain_of).
 """
 
 from __future__ import annotations
@@ -86,6 +100,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import deque
+from functools import cached_property
 from typing import Collection, NamedTuple, Sequence
 
 from .budget import Budget, LanguageResult, SearchStats
@@ -97,6 +112,7 @@ Word = tuple[str, ...]
 State = tuple[str, str]  # a nonterminal and its coded stack (Fixpoint)
 
 COPY, PUSH, POP = "copy", "push", "pop"
+_address = tuple.__new__  # a TreeAddress from digits known to be positive
 
 
 class Child(NamedTuple):
@@ -208,10 +224,22 @@ class _YieldBound:
     A guarded rule may only copy its stack to its children, as every
     compiled grammar's does: indexed rules pop only by a guard, and
     stack-form rules have no guard.  Any other guarded rule is refused.
+
+    The summaries depend on the rules and the cap alone, so one table, held
+    per live-rule set by the Machine, serves every search over those rules:
+    it is saturated at the largest cap asked so far, limit, and a search
+    whose cap K is smaller reads min(x, K) (_Bound).  Capping at K <= C is
+    a homomorphism of the arithmetic capped at C onto the one capped at K:
+    min(min(a + b, C), K) = min(min(a, K) + min(b, K), K) for a, b >= 0,
+    and likewise for min and for multiplying by a count.  Saturation and
+    evaluation use only these operations, so the values read are exactly
+    those of a table saturated at K, where demands clash too.  The vectors
+    by (value, vector) are memoised on the table, at limit; those by stack
+    on each search's reading, as the stacks are the search's own.
     """
 
-    def __init__(self, rules: Sequence[Rule], cap: int):
-        self.cap = cap
+    def __init__(self, rules: Sequence[Rule], limit: int):
+        self.limit = cap = limit
         index: dict[str, int] = {}
         for r in rules:
             index.setdefault(r.mother, len(index))
@@ -323,12 +351,12 @@ class _YieldBound:
                 if total < empty[mother]:
                     empty[mother] = total
                     changed = True
+        self.empty = tuple(empty)
         self._by_value: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
-        self._by_stack: dict[str, tuple[int, ...]] = {"": tuple(empty)}
 
     def _evaluate(self, poly: list, x) -> int:
-        """The least value of poly at x, capped."""
-        best = self.cap
+        """The least value of poly at x, capped at limit."""
+        best = self.limit
         for c, *m in poly:
             for k, v in zip(m, x):
                 if k:
@@ -337,8 +365,10 @@ class _YieldBound:
                 best = c
         return best
 
-    def bound(self, sym: str, stack: str) -> int:
-        by_stack, by_value = self._by_stack, self._by_value
+    def vector(self, stack: str, by_stack: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+        """The least yields of every nonterminal on stack, capped at limit;
+        by_stack memoises them per stack and holds the empty stack's."""
+        by_value = self._by_value
         vec = by_stack.get(stack)
         if vec is None:
             # down to the longest memoised suffix, by depth, so any stack ends
@@ -349,8 +379,31 @@ class _YieldBound:
                 if key not in by_value:
                     by_value[key] = tuple(self._evaluate(self.summary[a, stack[d]], vec) for a in range(len(vec)))
                 vec = by_stack[stack[d:]] = by_value[key]
-        i = self.index.get(sym)
-        return self.cap if i is None else vec[i]
+        return vec
+
+
+class _Bound:
+    """A search's reading of a _YieldBound: the least yield from (sym,
+    stack), capped at the search's maxlen + 1, which is at most the
+    table's limit, with the vectors of the search's stacks memoised."""
+
+    __slots__ = ("table", "cap", "by_stack")
+
+    def __init__(self, table: _YieldBound, cap: int):
+        self.table = table
+        self.cap = cap
+        self.by_stack = {"": table.empty}
+
+    def bound(self, sym: str, stack: str) -> int:
+        table, cap = self.table, self.cap
+        vec = self.by_stack.get(stack)
+        if vec is None:
+            vec = table.vector(stack, self.by_stack)
+        i = table.index.get(sym)
+        if i is None:
+            return cap
+        v = vec[i]
+        return v if v < cap else cap
 
 
 # --------------------------------------------------------------------------
@@ -435,6 +488,87 @@ def _unread_pushes(rules: Sequence[Rule], by_mother: dict[str, list[int]]) -> se
     return cuts
 
 
+class _Tables:
+    """What a search over one live-rule set reads and never changes: the
+    live rule numbers per mother in rule order, the PUSH children in cuts
+    (_unread_pushes) and the least-yield table (_YieldBound)."""
+
+    __slots__ = ("rules", "by_mother", "cuts", "bound")
+
+    def __init__(self, rules: Sequence[Rule], live: Sequence[int], cap: int):
+        self.rules = [rules[ri] for ri in live]
+        self.by_mother: dict[str, list[int]] = {}
+        for ri in live:
+            self.by_mother.setdefault(rules[ri].mother, []).append(ri)
+        self.cuts = _unread_pushes(rules, self.by_mother)
+        self.bound = _YieldBound(self.rules, cap)
+
+
+class Machine(tuple):
+    """Compiled rules, rule k being the source grammar's rule k, with the
+    part of a search that depends on the rules alone, built once.
+
+    Both grammar classes cache one (stack_rules), so a grammar codes its
+    rules once and builds each live-rule set's tables once, however many
+    searches it serves; Fixpoint builds one from a plain rule sequence.
+    Kept here: the code, one character per terminal and index value in
+    rule order, with the coded rules (_coding); by_mother, the rule numbers
+    per mother in rule order; replay, for witnesses; and per live-rule set,
+    its _Tables.  The live rules of a language run are all the rules, and
+    those of a membership the rules with no leaf its word lacks, so they
+    depend on the word's alphabet alone.  A set's _YieldBound is saturated
+    at the largest maxlen + 1 asked so far and read at each search's own
+    (_Bound).
+    """
+
+    def __init__(self, rules: Sequence[Rule]):
+        self._tables: dict[tuple[int, ...], _Tables] = {}  # per live-rule set
+
+    @cached_property
+    def _coding(self) -> tuple[tuple[Rule, ...], dict[str, str], dict[str, str]]:
+        code = {"": ""}
+        coded = tuple(_coded(self, code))
+        return coded, code, {c: s for s, c in code.items()}
+
+    @cached_property
+    def by_mother(self) -> dict[str, tuple[int, ...]]:
+        """The rule numbers of each mother, in rule order."""
+        out: dict[str, list[int]] = {}
+        for ri, r in enumerate(self):
+            out.setdefault(r.mother, []).append(ri)
+        return {m: tuple(ris) for m, ris in out.items()}
+
+    @cached_property
+    def replay(self) -> tuple[tuple[bool, tuple], ...]:
+        """Per rule, what Fixpoint.witness needs to replay it: whether it
+        has a guard, and its children last first, each as (digit, slot,
+        child): digit is the 1-tuple of its position."""
+        return tuple(
+            (r.guard is not None, tuple(((i + 1,), (ri, i), c) for i, c in reversed(tuple(enumerate(r.children)))))
+            for ri, r in enumerate(self)
+        )
+
+    @cached_property
+    def _needs(self) -> list[frozenset[str]]:
+        """Per coded rule, the leaf codes a word must have for it to live."""
+        return [frozenset(c.symbol for c in r.children if c.op is None and c.symbol) for r in self._coding[0]]
+
+    def tables(self, text: str | None, cap: int) -> _Tables:
+        """The tables of the rules live for text (all rules when None),
+        their least-yield table saturated at cap or more."""
+        if text is None:
+            live = tuple(range(len(self)))
+        else:
+            alphabet = set(text)
+            live = tuple(ri for ri, need in enumerate(self._needs) if need <= alphabet)
+        tables = self._tables.get(live)
+        if tables is None:
+            tables = self._tables[live] = _Tables(self._coding[0], live, cap)
+        elif tables.bound.limit < cap:
+            tables.bound = _YieldBound(tables.rules, cap)
+        return tables
+
+
 class Fixpoint:
     """Per-state yields with minimal witnesses, computed to a least fixpoint.
 
@@ -463,28 +597,30 @@ class Fixpoint:
 
     Given word, with maxlen = len(word), the run is a membership run: it
     keeps only entries whose yield is a factor of word.
+
+    What depends on the rules alone is read from the Machine (rules, or one
+    built from them) and shared: the code, the coded rules, by_mother, cuts
+    and the least-yield table of the live rules, which oracle reads at
+    maxlen + 1 (see _YieldBound for why a table saturated at a larger cap
+    gives the same values).  A search keeps its own word text, entries,
+    jobs, stack memo and stats, so the answers, witnesses and stats of a
+    search do not depend on the searches before it.
     """
 
     def __init__(self, rules: Sequence[Rule], start: str, maxlen: int, budget: Budget, word: Word | None = None):
         if maxlen < 0:
             raise GrammarError("maxlen must be >= 0")
-        self._code = {"": ""}
-        self.rules = rules = _coded(rules, self._code)
+        self.machine = machine = rules if isinstance(rules, Machine) else Machine(rules)
+        self.rules, self._code, self._name = machine._coding
         self.maxlen = maxlen
         self.budget = budget
-        live = range(len(rules))
-        self.text = None
-        if word is not None:
-            # a terminal no rule emits gets a new code; a rule with a leaf the word lacks yields no factor of it
-            self.text = "".join([self._code.setdefault(s, chr(len(self._code))) for s in word])
-            live = [ri for ri in live if all(c.op or not c.symbol or c.symbol in self.text for c in rules[ri].children)]
-        self._name = {c: s for s, c in self._code.items()}
-        self.by_mother: dict[str, list[int]] = {}
-        for ri in live:
-            self.by_mother.setdefault(rules[ri].mother, []).append(ri)
-        self.cuts = _unread_pushes(rules, self.by_mother)
+        # a terminal no rule emits gets \0, which no rule's code is: a rule
+        # with a leaf the word lacks yields no factor of it
+        self.text = None if word is None else "".join([self._code.get(s, "\0") for s in word])
+        tables = machine.tables(self.text, maxlen + 1)
+        self.by_mother, self.cuts = tables.by_mother, tables.cuts
+        self.oracle = _Bound(tables.bound, maxlen + 1)
         self.stats = SearchStats()
-        self.oracle = _YieldBound([rules[ri] for ri in live], maxlen + 1)
         self.entries: dict[State, dict[tuple[str, str], tuple]] = {}
         # jobs (state, rule number) to rerun when a state's entries change,
         # in the order they first read it
@@ -658,31 +794,37 @@ class Fixpoint:
         """The minimal witness of word at the root, in preorder, as triples
         (address, slot, item): slot is (rule number, child position) in the
         mother's rule, None at the root; item is a state, or a leaf symbol.
-        The root entry's rule sequence is replayed from the root, and each
-        node's stack rebuilt from its mother's by its rule, whole: no PUSH
-        child is cut here, so each node carries the stack of its tree."""
+        The root entry's rule sequence is replayed from the root on the
+        source rules, and each node's stack built from its mother's by its
+        rule, whole: no PUSH child is cut here, so each node carries the
+        stack of its tree."""
         store = self.entries.get(self.root, {})
         coded = self.encode(word)
         keys = [k for k in store if k[0] == coded]
         if not keys:
             return None
         seq = iter(store[min(keys, key=lambda k: store[k][:2] + (k,))][1])
-        name, stacks = self._name, {}  # stacks: decoded, per coded stack
+        replay = self.machine.replay
         out: list = []
-        todo = [(ROOT, None, self.root)]
+        todo: list = [(ROOT, None, self.root[0], ())]
+        emit, pop, push = out.append, todo.pop, todo.append
         while todo:
-            addr, slot, item = todo.pop()
-            if isinstance(item, str):
-                out.append((addr, slot, name[item]))
+            addr, slot, sym, stack = pop()
+            if stack is None:
+                emit((addr, slot, sym))
                 continue
-            if item[1] not in stacks:
-                stacks[item[1]] = tuple(map(name.__getitem__, item[1]))
-            out.append((addr, slot, (item[0], stacks[item[1]])))
-            ri = next(seq)
-            rule = self.rules[ri]
-            base = item[1][1:] if rule.guard is not None else item[1]
-            for i in reversed(range(len(rule.children))):
-                c = rule.children[i]
-                child = c.symbol if c.op is None else (c.symbol, _child_stack(c, base)[0])
-                todo.append((addr.child(i + 1), (ri, i), child))
+            emit((addr, slot, (sym, stack)))
+            guard, children = replay[next(seq)]
+            if guard:
+                stack = stack[1:]
+            for digit, cslot, c in children:
+                if c.op is None:
+                    cstack = None
+                elif c.op == COPY:
+                    cstack = stack
+                elif c.op == PUSH:
+                    cstack = (c.value,) + stack
+                else:
+                    cstack = stack[1:]
+                push((_address(TreeAddress, addr + digit), cslot, c.symbol, cstack))
         return out

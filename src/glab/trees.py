@@ -14,10 +14,10 @@ which the sort helpers below rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from operator import not_
-from typing import Iterator
+from operator import is_, not_
+from typing import Iterator, Mapping, Sequence
 
 from .errors import GrammarError
 
@@ -74,31 +74,71 @@ def address(*digits: int) -> TreeAddress:
     return TreeAddress(digits)
 
 
+def _daughters(order) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[TreeAddress, str] | None]:
+    """Read addresses as a walk in address order, a mother before her
+    daughters and a daughter before her right sisters, checking closure.
+    Returns, per address, the positions of its daughters in order, and
+    None; or None and the first address whose mother is not on the path to
+    the address before it or whose left sister is missing, as (address,
+    the closure it breaks).  In address order, a mother that is there is on
+    that path, so then the first such address breaks the closure named."""
+    kids: list[list[int]] = []
+    mothers: list[TreeAddress] = []  # the path to the last address, by depth
+    sisters_at: list[list[int]] = []  # the daughters of each address on it
+    for a in order:
+        depth = len(a)
+        if depth:
+            if depth > len(mothers) or a[:-1] != mothers[depth - 1]:
+                return None, (a, "prefix-closed")
+            sisters = sisters_at[depth - 1]
+            if a[-1] != len(sisters) + 1:
+                return None, (a, "left-sibling-closed")
+            sisters.append(len(kids))
+            if depth < len(mothers):
+                del mothers[depth:], sisters_at[depth:]
+        elif mothers:
+            return None, (a, "prefix-closed")  # the root again, or after another address
+        own: list[int] = []
+        kids.append(own)
+        mothers.append(a)
+        sisters_at.append(own)
+    return tuple(map(tuple, kids)), None
+
+
 @dataclass(frozen=True)
 class TreeDomain:
     """A finite prefix-closed, left-sibling-closed set of tree addresses;
-    construction fixes sorted_addresses and every address's daughters."""
+    construction fixes sorted_addresses and, per address there, the
+    positions there of its daughters (daughter_positions).
+
+    preorder, when given, lists the same addresses; when it is in address
+    order, as a preorder walk of a tree yields them, it is read in one pass
+    and nothing is sorted.  Otherwise the addresses are sorted and read
+    again, so a closure violation is reported at its first address in
+    address order either way."""
 
     addresses: frozenset[TreeAddress]
+    preorder: InitVar[Sequence[TreeAddress] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, preorder: Sequence[TreeAddress] | None) -> None:
         if not self.addresses:
             raise GrammarError("a tree domain must contain the root")
-        # one pass in address order (a mother before her daughters, a daughter
-        # before her right sisters) checks closure and records the daughters
-        ordered = tuple(sorted(self.addresses))
-        daughters: dict[TreeAddress, list[TreeAddress]] = {}
-        for a in ordered:
-            if a:
-                sisters = daughters.get(a[:-1])
-                if sisters is None:
-                    raise GrammarError(f"tree domain is not prefix-closed at {a}")
-                if a[-1] != len(sisters) + 1:
-                    raise GrammarError(f"tree domain is not left-sibling-closed at {a}")
-                sisters.append(a)
-            daughters[a] = []
-        object.__setattr__(self, "sorted_addresses", ordered)
-        object.__setattr__(self, "_children", {a: tuple(v) for a, v in daughters.items()})
+        ordered = preorder
+        kids = None
+        if ordered is not None:
+            kids, _ = _daughters(ordered)
+        if kids is None or len(kids) != len(self.addresses):
+            ordered = sorted(self.addresses)
+            kids, bad = _daughters(ordered)
+            if kids is None:
+                raise GrammarError(f"tree domain is not {bad[1]} at {bad[0]}")
+        object.__setattr__(self, "sorted_addresses", tuple(ordered))
+        object.__setattr__(self, "daughter_positions", kids)
+
+    @cached_property
+    def _children(self) -> dict[TreeAddress, tuple[TreeAddress, ...]]:
+        order = self.sorted_addresses
+        return {a: tuple(map(order.__getitem__, kids)) for a, kids in zip(order, self.daughter_positions)}
 
     def out_degree(self, a: TreeAddress) -> int:
         return len(self.children(a))
@@ -112,11 +152,21 @@ class TreeDomain:
     @cached_property
     def leaves(self) -> tuple[TreeAddress, ...]:
         """All addresses of out-degree zero, in address order."""
-        return tuple(a for a in self.sorted_addresses if not self._children[a])
+        return tuple(a for a, kids in zip(self.sorted_addresses, self.daughter_positions) if not kids)
 
     @cached_property
     def internal(self) -> tuple[TreeAddress, ...]:
-        return tuple(a for a in self.sorted_addresses if self._children[a])
+        return tuple(a for a, kids in zip(self.sorted_addresses, self.daughter_positions) if kids)
+
+    def in_order(self, mapping: Mapping[TreeAddress, object], first: int = 0) -> list:
+        """The values of a mapping over exactly sorted_addresses[first:],
+        in that order.  A mapping whose keys are those very addresses in
+        that order, as one built along the walk that built this domain, is
+        read with no lookup."""
+        order = self.sorted_addresses[first:] if first else self.sorted_addresses
+        if len(mapping) == len(order) and all(map(is_, order, mapping)):
+            return list(mapping.values())
+        return [mapping[a] for a in order]
 
     @cached_property
     def height(self) -> int:
@@ -137,4 +187,8 @@ class TreeDomain:
 
 
 def domain_of(addresses) -> TreeDomain:
-    return TreeDomain(frozenset(addresses))
+    """The domain of addresses; in address order, as a preorder walk lists
+    them, they are read in one pass with no sort.  A dict's keys are taken
+    with the hashes it holds."""
+    order = addresses if isinstance(addresses, dict) else tuple(addresses)
+    return TreeDomain(frozenset(order), order)

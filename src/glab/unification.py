@@ -49,7 +49,7 @@ from .features import (
     solve_rooted,
 )
 from .indexed import _LEAF, ValidationReport, _capped, _check_symbol, _memo_walk, fresh_symbol
-from .stackengine import Child, Fixpoint, Rule, Word, end_marker, reduced, terminal_word
+from .stackengine import Child, Fixpoint, Machine, Rule, Word, end_marker, reduced, terminal_word
 from .trees import ROOT, TreeAddress, TreeDomain, domain_of
 
 Path = tuple[str, ...]
@@ -292,15 +292,17 @@ class SimpleUnificationGrammar:
         return self.productions + self.lexicon
 
     @cached_property
-    def _stack_form(self) -> tuple[UgiReport, tuple[Rule, ...] | None]:
+    def _stack_form(self) -> tuple[UgiReport, Machine | None]:
         """ugi_check's report and the stack-engine rules, from one pass over
         the schemata per grammar (see _classify)."""
         return _classify(self)
 
     @property
-    def stack_rules(self) -> tuple[Rule, ...]:
+    def stack_rules(self) -> Machine:
         """The combined rules as stack-engine rules, numbered as in
-        combined_rules (see _classify); requires stack-form schemata."""
+        combined_rules (see _classify); requires stack-form schemata.
+        Cached, so every search of this grammar shares the Machine's
+        tables."""
         _require_ugi(self, "the fixpoint language engine")
         return self._stack_form[1]
 
@@ -428,22 +430,24 @@ def validate_cstructure(g: SimpleUnificationGrammar, cs: CStructure) -> Validati
     license: dict[TreeAddress, int] = {}
     nts = set(g.nonterminals)
     ts = set(g.terminals)
-    if cs.categories[ROOT] != g.start:
+    d = cs.domain
+    positions = d.daughter_positions
+    categories = d.in_order(cs.categories)
+    schemata = [None, *d.in_order(cs.eqsets, 1)]
+    if categories[0] != g.start:
         errors.append((ROOT, "root", f"root must carry the start symbol {g.start!r}"))
-    if cs.domain.out_degree(ROOT) == 0:
+    if not positions[0]:
         errors.append((ROOT, "root", "the root must be licensed by a rule"))
-    for a in cs.domain.sorted_addresses:
-        cat = cs.categories[a]
-        if cs.domain.out_degree(a) == 0:
+    for a, kids, cat in zip(d.sorted_addresses, positions, categories):
+        if not kids:
             if a != ROOT and cat and cat not in ts:
                 errors.append((a, "leaf", f"{cat!r} is not a terminal of the grammar"))
             continue
         if cat not in nts:
             errors.append((a, "symbol", f"{cat!r} is not a nonterminal of the grammar"))
             continue
-        kids = cs.domain.children(a)
-        found = g._licences.get((cat, tuple((cs.categories[c], cs.eqsets[c]) for c in kids)))
-        if found is not None and found >= len(g.productions) and cs.domain.out_degree(kids[0]):
+        found = g._licences.get((cat, tuple((categories[j], schemata[j]) for j in kids)))
+        if found is not None and found >= len(g.productions) and positions[kids[0]]:
             found = None  # a lexicon rule licenses only a leaf daughter
         if found is None:
             errors.append((a, "license", f"no rule licenses {cat!r} with these children"))
@@ -477,7 +481,9 @@ def instantiate(schema: Schema, mother: TreeAddress, daughter: TreeAddress) -> f
 
 def collect_equations(cs: CStructure) -> frozenset[Equation]:
     """Union of the instantiated schemata of all non-root nodes."""
-    return _equations((cs.eqsets[d], a, d) for a in cs.domain.internal for d in cs.domain.children(a))
+    d = cs.domain
+    order, schemata = d.sorted_addresses, d.in_order(cs.eqsets, 1)
+    return _equations((schemata[j - 1], a, order[j]) for a, kids in zip(order, d.daughter_positions) for j in kids)
 
 
 def generates_check(cs: CStructure) -> SolveResult:
@@ -712,7 +718,7 @@ def _node_edges(node) -> tuple[dict[TreeAddress, str], list[tuple[Schema, TreeAd
 
 def _materialize_cs(categories: dict[TreeAddress, str], edges) -> CStructure:
     """The CStructure of a node tree, from _node_edges' result."""
-    return CStructure(domain_of(categories.keys()), categories, {d: schema for schema, _, d in edges})
+    return CStructure(domain_of(categories), categories, {d: schema for schema, _, d in edges})
 
 
 def enumerate_cstructures(
@@ -792,7 +798,7 @@ def ugi_check(g: SimpleUnificationGrammar) -> UgiReport:
     return g._stack_form[0]
 
 
-def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] | None]:
+def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, Machine | None]:
     """ugi_check's report, and for a stack-form grammar its combined rules as
     stack-engine rules: one child per daughter with the copy, push or pop of
     its schema (classify_schema's kinds are the engine's op names), and one
@@ -829,7 +835,7 @@ def _classify(g: SimpleUnificationGrammar) -> tuple[UgiReport, tuple[Rule, ...] 
     ]
     has_sink = end_marker(rules, g.start) is not None
     rules.extend(Rule(r.mother, None, (Child(r.word),)) for r in g.lexicon)
-    return UgiReport(True, not offenders, has_sink, tuple(offenders), pair), tuple(rules)
+    return UgiReport(True, not offenders, has_sink, tuple(offenders), pair), Machine(rules)
 
 
 def _require_ugi(g: SimpleUnificationGrammar, what: str) -> UgiReport:
@@ -976,9 +982,6 @@ def sink_map_root(g: SimpleUnificationGrammar) -> SimpleUnificationGrammar:
 # --------------------------------------------------------------------------
 # Canonical model of a stack-schema c-structure
 
-Sequence = tuple[TreeAddress, ...]
-
-
 def canonical_fs(cs: CStructure) -> SolveResult:
     """Build the canonical model in one pass over the addresses in order.
 
@@ -991,18 +994,32 @@ def canonical_fs(cs: CStructure) -> SolveResult:
     nodes.  Nodes are numbered by first occurrence in address order, then
     the values in sorted order.  The only possible failure is two nodes with
     equal sequences demanding distinct idx values.
+
+    A sequence is an id, and rest[id] the id of the sequence without its
+    front element.  Ids are canonical: the root's sequences are the chain
+    of its copies, and each push makes a sequence whose front, the pushing
+    node, is in no other, so equal sequences have equal ids and no sequence
+    is hashed; the work is linear in the tree.
     """
-    # an isolated leaf is keyed by its own address, which equals no sequence
-    seqs: dict[TreeAddress, Sequence | TreeAddress] = {ROOT: (ROOT,) * (cs.domain.height + 1)}
+    d = cs.domain
+    order = d.sorted_addresses
+    # the root's sequence of height+1 copies: id k is k+1 of them
+    height = d.height
+    rest: list[int | None] = [None, *range(height)]
+    seqs = [height]  # per address in order, its sequence (an isolated leaf: its own id)
     pair: tuple[str, str] | None = None
-    demands: dict[Sequence, tuple[str, TreeAddress]] = {}
+    demands: dict[int, tuple[str, TreeAddress]] = {}
+    mother = [0] * len(order)
+    for i, kids in enumerate(d.daughter_positions):
+        for j in kids:
+            mother[j] = i
     # address order puts a mother before her daughters
-    for x in cs.domain.sorted_addresses[1:]:
-        schema = cs.eqsets[x]
+    for i, x, schema, kids in zip(range(1, len(order)), order[1:], d.in_order(cs.eqsets, 1), d.daughter_positions[1:]):
         if not schema:
-            if cs.domain.out_degree(x) > 0:
+            if kids:
                 raise PreconditionError(f"internal node {x} has an empty schema; cannot map its daughters")
-            seqs[x] = x
+            seqs.append(len(rest))
+            rest.append(None)
             continue
         c = classify_schema(schema)
         if c is None:
@@ -1015,27 +1032,29 @@ def canonical_fs(cs: CStructure) -> SolveResult:
                 raise PreconditionError(f"schema at {x} uses attribute pair {dpair}, elsewhere {pair}")
         # a mother's sequence is set and has 2 or more entries: her schema is
         # nonempty, and at depth d < height she has seen at most d pops
-        mother = x.parent
-        mother_seq = seqs[mother]
+        m = mother[i]
+        mother_seq = seqs[m]
         if kind == "copy":
-            seqs[x] = mother_seq
+            seqs.append(mother_seq)
             continue
         if kind == "pop":
-            seqs[x] = mother_seq[1:]
-            demanded, at = mother_seq, mother
+            seqs.append(rest[mother_seq])
+            demanded, at = mother_seq, order[m]
         else:
-            seqs[x] = demanded = (x,) + mother_seq
+            demanded = len(rest)
+            rest.append(mother_seq)
+            seqs.append(demanded)
             at = x
         have = demands.setdefault(demanded, (value, at))
         if have[0] != value:
             return Inconsistent(ValueClash((have[1], (dpair[1],)), have[0], value))
 
     number: dict = {}
-    names = {x: number.setdefault(s, len(number)) for x, s in seqs.items()}
+    names = {x: number.setdefault(s, len(number)) for x, s in zip(order, seqs)}
     alpha = dict(enumerate(sorted({v for v, _ in demands.values()}), len(number)))
     number.update((v, q) for q, v in alpha.items())
     next_attr, idx_attr = pair or STACK_ATTRS
-    delta = {number[s]: {next_attr: number[s[1:]], idx_attr: number[v]} for s, (v, _) in demands.items()}
+    delta = {number[s]: {next_attr: number[rest[s]], idx_attr: number[v]} for s, (v, _) in demands.items()}
     return Consistent(FeatureStructure(tuple(range(len(number))), delta, alpha, names))
 
 
@@ -1064,7 +1083,7 @@ def ugi_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = 
         return MembershipResult(False, None, fp.stats.exhausted, reasons=tuple(fp.stats.reasons), stats=fp.stats)
     categories = {a: item if isinstance(item, str) else item[0] for a, _, item in walk}
     eqsets = {a: _slot_schema(g, slot) for a, slot, _ in walk if slot is not None}
-    witness = CStructure(domain_of(categories.keys()), categories, eqsets)
+    witness = CStructure(domain_of(categories), categories, eqsets)
     report = validate_cstructure(g, witness)
     if not report.ok:  # pragma: no cover - engine invariant
         raise GrammarError(f"internal error: witness failed validation: {report.first_error}")

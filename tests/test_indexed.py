@@ -243,6 +243,8 @@ def test_validation_finds_an_undeclared_index_below_the_top_of_a_deep_node():
     report = validate_derivation_tree(g, tree_of(labels))
     stack_errors = [(a, msg) for a, cond, msg in report.errors if cond == "stack"]
     assert stack_errors == [(address(1, 1, 1), "stack ('g', 'h', 'f') uses undeclared indices")]
+    # its mother loses her licence, so nothing vouches for the tampered stack
+    assert [(a, cond) for a, cond, _ in report.errors] == [(address(1, 1), "license"), (address(1, 1, 1), "stack")]
 
 
 # --------------------------------------------------------------------------

@@ -162,3 +162,88 @@ def test_closure_violations_are_rejected(addrs):
             domain_of(broken)
     else:
         assert len(domain_of(broken)) == len(broken)
+
+
+# The domain is built in one pass over addresses given in address order, as
+# a preorder walk lists them; any other order is sorted first.  Both must
+# give the domain and the closure errors of a sort followed by a check.
+
+
+def _sorted_check(addrs) -> tuple:
+    """The reference: sort, then check closure with a dict of daughters, as
+    the domain was built before it read preorder input."""
+    daughters: dict = {}
+    for a in sorted(addrs):
+        if a:
+            sisters = daughters.get(a[:-1])
+            if sisters is None:
+                return "error", f"tree domain is not prefix-closed at {a}"
+            if a[-1] != len(sisters) + 1:
+                return "error", f"tree domain is not left-sibling-closed at {a}"
+            sisters.append(a)
+        daughters[a] = []
+    return tuple(sorted(addrs)), {a: tuple(v) for a, v in daughters.items()}
+
+
+def _built(order) -> tuple:
+    try:
+        d = domain_of(order)
+    except GrammarError as e:
+        return "error", str(e)
+    return d.sorted_addresses, {a: d.children(a) for a in d.sorted_addresses}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(domains(), st.randoms(use_true_random=False))
+def test_preorder_and_shuffled_input_build_the_same_domain(addrs, rnd):
+    preorder = sorted(addrs)
+    shuffled = list(addrs)
+    rnd.shuffle(shuffled)
+    want = _sorted_check(addrs)
+    assert _built(preorder) == _built(shuffled) == _built(iter(shuffled)) == want
+    d, e = domain_of(preorder), domain_of(shuffled)
+    assert d == e and d.daughter_positions == e.daughter_positions
+    assert d.leaves == e.leaves and d.internal == e.internal
+    assert all(tuple(d.sorted_addresses[j] for j in kids) == d.children(a)
+               for a, kids in zip(d.sorted_addresses, d.daughter_positions))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(domains(), st.randoms(use_true_random=False))
+def test_a_broken_domain_fails_at_its_first_violation_in_any_order(addrs, rnd):
+    inner = sorted(a for a in addrs if not a.is_root)
+    if not inner:
+        return
+    broken = set(addrs) - {rnd.choice(inner)}
+    if rnd.random() < 0.3:
+        broken.discard(ROOT)
+    if not broken:
+        return
+    want = _sorted_check(broken)
+    shuffled = list(broken)
+    rnd.shuffle(shuffled)
+    # preorder input stays in address order with the address left out
+    assert _built(sorted(broken)) == _built(shuffled) == want
+
+
+def test_out_of_order_and_repeated_addresses_are_sorted_first():
+    a1, a11, a2 = address(1), address(1, 1), address(2)
+    # breadth first: every mother comes before her daughters, but 2 comes before 11
+    d = domain_of([ROOT, a1, a2, a11])
+    assert d.sorted_addresses == (ROOT, a1, a11, a2)
+    assert d.children(a1) == (a11,) and d.daughter_positions == ((1, 3), (2,), (), ())
+    # a repeated address and a late root are read as a set
+    assert domain_of([ROOT, a1, a1, a11, ROOT]) == domain_of({ROOT, a1, a11})
+    with pytest.raises(GrammarError, match="not prefix-closed at 11$"):
+        domain_of([ROOT, a11, a2])
+
+
+def test_a_mapping_is_read_in_address_order():
+    a1, a11, a2 = address(1), address(1, 1), address(2)
+    d = domain_of({ROOT: "r", a1: "x", a11: "y", a2: "z"})
+    walked = {ROOT: "r", a1: "x", a11: "y", a2: "z"}
+    assert d.in_order(walked) == ["r", "x", "y", "z"]
+    # other keys, or the same keys in another order, are looked up
+    assert d.in_order({a2: "z", a11: "y", a1: "x", ROOT: "r"}) == ["r", "x", "y", "z"]
+    assert d.in_order({(): "r", (1,): "x", (1, 1): "y", (2,): "z"}) == ["r", "x", "y", "z"]
+    assert d.in_order({a1: "x", a11: "y", a2: "z"}, 1) == ["x", "y", "z"]

@@ -822,6 +822,28 @@ def test_canonical_fs_on_a_push_chain():
     assert well_defined_check(m).well_defined
 
 
+def test_canonical_fs_on_a_deep_push_chain():
+    # 2,000 pushes, then a pop per value down to a leaf: each sequence is
+    # one node, and the pops read the values back in reverse
+    n = 2000
+    categories, eqsets, a = {ROOT: "X"}, {}, ROOT
+    for k in range(2 * n):
+        a = a.child(1)
+        categories[a] = "X"
+        value = "fg"[k % 2] if k < n else "fg"[(2 * n - 1 - k) % 2]
+        eqsets[a] = (push_schema if k < n else pop_schema)("next", "idx", value)
+    a = a.child(1)
+    categories[a], eqsets[a] = "a", frozenset()
+    m = canonical_fs(CStructure(domain_of(categories), categories, eqsets)).model
+    # the root's sequence and one per push, the leaf, and the two values
+    assert len(m.nodes) == 1 + n + 1 + 2
+    top = m.node_of(address(*[1] * n))
+    for k in reversed(range(n)):
+        assert m.alpha[m.delta[top]["idx"]] == "fg"[k % 2]
+        top = m.delta[top]["next"]
+    assert top == m.node_of(ROOT) == m.node_of(address(*[1] * (2 * n)))
+
+
 def test_canonical_fs_detects_demand_clashes():
     cs = CStructure(
         domain_of({ROOT, address(1), address(2), address(1, 1), address(2, 1), address(1, 1, 1), address(2, 1, 1)}),
