@@ -58,6 +58,9 @@ class SearchStats:
     production tries on (category, span, size) keys that the word's size
     chart admits; keys that hold no tree cost no step.  trees counts the
     c-structures streamed, and max_steps and max_trees bound the two.
+    sug_membership reads the memo packed, so there trees counts the root
+    classes read: the least c-structure of each consistent rooted feature
+    structure, in order of size and rule sequence.
     """
 
     trees: int = 0

@@ -324,6 +324,29 @@ class SimpleUnificationGrammar:
         return tuple(productions), lexicon
 
     @cached_property
+    def _chart_order(self) -> tuple[UProduction, ...] | None:
+        """The productions in an order that completes a span of the size
+        chart in one pass: those with two or more daughters in rule order,
+        then the unary ones, each mother's after those of every category it
+        reads.  None when the lexicon has an empty-word entry or the unary
+        productions close a cycle, where a span can feed itself."""
+        from graphlib import CycleError, TopologicalSorter  # loaded by the reference engine alone
+
+        if any(not r.word for r in self.lexicon):
+            return None
+        wide = [p for p in self.productions if len(p.daughters) > 1]
+        unary: dict[str, list[UProduction]] = {}
+        for p in self.productions:
+            if len(p.daughters) == 1:
+                unary.setdefault(p.mother, []).append(p)
+        reads = {m: {p.daughters[0].category for p in ps} for m, ps in unary.items()}
+        try:
+            order = tuple(TopologicalSorter(reads).static_order())
+        except CycleError:
+            return None
+        return tuple(wide) + tuple(p for c in order for p in unary.get(c, ()))
+
+    @cached_property
     def _licences(self) -> dict[tuple[str, tuple[tuple[str, Schema], ...]], int]:
         """validate_cstructure's licence table: the number of the first
         combined rule with each mother and daughters' (category, schema)
@@ -519,18 +542,25 @@ def _size_chart(g: SimpleUnificationGrammar, word: Word, max_nodes: int) -> dict
     bitmask of the sizes up to max_nodes of the trees that the productions
     and the lexicon build over word[i:j], schemata aside.
 
-    Spans go by length.  Within a span a unary rule, a unit cycle or an
-    empty-string daughter can feed a category back into the same span, so
-    the productions rerun until no mask grows; masks are bounded by
-    max_nodes, so that ends.  Without an empty-string lexicon entry no tree
-    spans an empty slice, and empty spans are not visited.
+    Spans go by length.  Without an empty-string lexicon entry no tree
+    spans an empty slice, so empty spans are not visited, and a production
+    with two or more daughters reads only shorter spans, whose masks are
+    final.  Those run first, then the unary ones in the grammar's
+    _chart_order, a daughter's before its mother's, so one pass completes
+    the span.  An empty-string entry or a unit cycle can feed a category
+    back into its own span; then the productions rerun until no mask grows,
+    which ends, as masks are bounded by max_nodes.
     """
     n = len(word)
     cap = (1 << (max_nodes + 1)) - 1
     lex = 4 & cap  # a lexicon rule builds a tree of two nodes
     chart: dict[tuple[str, int, int], int] = {}
+    one_pass = g._chart_order
+    productions = g.productions if one_pass is None else one_pass
 
     def production(daughters, i: int, j: int) -> int:
+        if len(daughters) == 1:
+            return chart.get((daughters[0].category, i, j), 0) << 1 & cap
         # ends maps where the daughters placed so far end to their sizes
         ends = {i: 1}
         last = len(daughters) - 1
@@ -550,20 +580,20 @@ def _size_chart(g: SimpleUnificationGrammar, word: Word, max_nodes: int) -> dict
         for i in range(n - length + 1):
             j = i + length
             if length <= 1:
-                span = word[i:j]
+                span = word[i] if length else ""
                 for r in g.lexicon:
-                    if span == ((r.word,) if r.word else ()):
+                    if r.word == span:
                         chart[(r.mother, i, j)] = chart.get((r.mother, i, j), 0) | lex
             grew = True
             while grew:
                 grew = False
-                for p in g.productions:
+                for p in productions:
                     key = (p.mother, i, j)
                     have = chart.get(key, 0)
                     sizes = have | production(p.daughters, i, j)
                     if sizes != have:
                         chart[key] = sizes
-                        grew = True
+                        grew = one_pass is None
     return chart
 
 
@@ -575,27 +605,66 @@ class _SizedCsEnumerator:
     node's seq starts with the index of its rule.  The word's size chart
     rules out the keys that hold no tree: they are never tried, so no step
     is spent on them.  Entries are shared between the trees that contain
-    them, and so is each one's rooted structure (see rooted).
+    them.
+
+    A packed enumerator keeps, per key, one entry for each rooted structure
+    (the least model of the subtree's equations, restricted to what its
+    root reaches): the least by seq, with the id of its structure in
+    `structures` as a fourth field.  It keeps no entry whose structure is
+    None, that is, whose equations solve rejects.  This loses no least
+    tree.  A mother's structure is a function of her rule and her
+    daughters' structures (features.solve_rooted), and seqs are prefix-free,
+    since a rule fixes its number of daughters; so a daughter can be traded
+    for the least of her class without changing the mother's structure, and
+    the least tree of a class is built from the least trees of its
+    daughters' classes.  Each (rule, daughters' structures) is solved once
+    per search.
     """
 
-    def __init__(self, g: SimpleUnificationGrammar, word: Word, budget: Budget, stats: SearchStats):
+    def __init__(self, g: SimpleUnificationGrammar, word: Word, budget: Budget, stats: SearchStats, packed: bool = False):
         self.g = g
         self.word = word
         self.budget = budget
         self.stats = stats
         self.chart = _size_chart(g, word, budget.max_nodes)
         self.memo: dict[tuple[str, int, int, int], tuple] = {}
-        # id of a memo entry -> its rooted structure; the memo keeps the
-        # entries alive, so their ids stay theirs
-        self.structures: dict[int, Rooted | None] = {}
+        self.packed = packed
+        # packed: the rooted structures met, by id, and the ids by
+        # structure; the id -1 stands for None, an inconsistent subtree
+        self.structures: list[Rooted] = []
+        self._ids: dict[Rooted, int] = {}
+        # packed: (rule, daughters' structure ids) -> the mother's id
+        self._composed: dict[tuple[int, ...], int] = {}
 
     def subtrees(self, cat: str, i: int, j: int, size: int):
         return _memo_walk(self.memo, self._build, (cat, i, j, size))
+
+    def _intern(self, rooted: Rooted | None) -> int:
+        """The id of a rooted structure in this search; -1 for None."""
+        if rooted is None:
+            return -1
+        sid = self._ids.get(rooted)
+        if sid is None:
+            sid = self._ids[rooted] = len(self.structures)
+            self.structures.append(rooted)
+        return sid
+
+    def _compose(self, key: tuple[int, ...]) -> int:
+        """The structure id of a mother built by rule key[0] over daughters
+        whose structure ids are key[1:], solved once per search."""
+        equations, names = self.g._rooted_rules[0][key[0]]
+        parts = zip(names, [self.structures[s] for s in key[1:]])
+        sid = self._composed[key] = self._intern(solve_rooted(equations, ROOT, parts))
+        return sid
 
     def _build(self, cat: str, i: int, j: int, size: int):
         """The entry of a key the size chart admits; a generator for
         _memo_walk, yielding each daughter key it needs."""
         out = []
+        packed, composed = self.packed, self._composed
+        # packed: a structure id -> (rule and daughters' seqs, daughters,
+        # schemata) of the least candidate of that class so far
+        least: dict[int, tuple] = {}
         n_prods = len(self.g.productions)
         for pi, p in enumerate(self.g.productions):
             if p.mother != cat:
@@ -607,31 +676,53 @@ class _SizedCsEnumerator:
             schemas = [d.schema for d in p.daughters]
             for combo in (yield from self._arrangements(p.daughters, i, j, size - 1)):
                 for chosen in itertools.product(*combo):
+                    if packed:
+                        key = (pi, *[c[3] for c in chosen])
+                        sid = composed.get(key)
+                        if sid is None:
+                            sid = self._compose(key)
+                        if sid >= 0:
+                            # prefix-free seqs compare as their concatenation
+                            order = (pi, *[c[0] for c in chosen])
+                            have = least.get(sid)
+                            if have is None or order < have[0]:
+                                least[sid] = (order, chosen, schemas)
+                        continue
                     seq: tuple[int, ...] = (pi,)
                     for node in chosen:
                         seq = seq + node[0]
                     out.append((seq, cat, tuple(zip(chosen, schemas))))
-        if not self.stats.exhausted and size == 2:
+        if not self.stats.exhausted and size == 2 and j - i <= 1:
+            span = self.word[i] if j > i else ""
             for li, r in enumerate(self.g.lexicon):
-                if r.mother != cat:
-                    continue
-                span = self.word[i:j]
-                if span == ((r.word,) if r.word else ()):
+                if r.mother == cat and r.word == span:
                     leaf = (_LEAF, r.word)
-                    out.append(((n_prods + li,), cat, ((leaf, r.schema),)))
+                    if not packed:
+                        out.append(((n_prods + li,), cat, ((leaf, r.schema),)))
+                        continue
+                    sid = self._intern(self.g._rooted_rules[1][li])
+                    if sid >= 0:
+                        # no production builds two nodes, and lexicon rules come in order
+                        least.setdefault(sid, ((n_prods + li,), (leaf,), (r.schema,)))
+        for sid, (order, chosen, schemas) in least.items():
+            seq = order[:1] + tuple(itertools.chain.from_iterable(order[1:]))
+            out.append((seq, cat, tuple(zip(chosen, schemas)), sid))
         out.sort(key=lambda n: n[0])
         return tuple(out)
 
     def _arrangements(self, daughters, i: int, j: int, nodes_left: int):
         """All ways to give each daughter a contiguous slice and a size that
         the size chart admits, as tuples of the daughters' entries; yields
-        each key whose entry is not yet in the memo."""
+        each key whose entry is not yet in the memo, in the order of a
+        depth-first walk over the daughters.  The last daughter takes the
+        rest of the span and of the nodes, and is looked up in place."""
+        chart, memo = self.chart, self.memo
         d = daughters[0]
         if len(daughters) == 1:
-            if not self.chart.get((d.category, i, j), 0) >> nodes_left & 1:
+            if not chart.get((d.category, i, j), 0) >> nodes_left & 1:
                 return []
             key = (d.category, i, j, nodes_left)
-            subs = self.memo.get(key)
+            subs = memo.get(key)
             if subs is None:
                 subs = yield key
             return [(subs,)] if subs else []
@@ -640,52 +731,26 @@ class _SizedCsEnumerator:
         most = nodes_left - 2 * (len(daughters) - 1)
         if most < 2:
             return out
+        last = daughters[1].category if len(daughters) == 2 else None
         for mid in range(i, j + 1):
-            for sz in _sizes(self.chart.get((d.category, i, mid), 0) & (1 << most + 1) - 1):
+            for sz in _sizes(chart.get((d.category, i, mid), 0) & (1 << most + 1) - 1):
                 key = (d.category, i, mid, sz)
-                subs = self.memo.get(key)
+                subs = memo.get(key)
                 if subs is None:
                     subs = yield key
-                if subs:
+                if not subs:
+                    continue
+                if last is None:
                     rest = yield from self._arrangements(daughters[1:], mid, j, nodes_left - sz)
-                    for r in rest:
-                        out.append((subs,) + r)
+                    out.extend((subs,) + r for r in rest)
+                elif chart.get((last, mid, j), 0) >> nodes_left - sz & 1:
+                    key = (last, mid, j, nodes_left - sz)
+                    rest = memo.get(key)
+                    if rest is None:
+                        rest = yield key
+                    if rest:
+                        out.append((subs, rest))
         return out
-
-    def rooted(self, node) -> Rooted | None:
-        """The rooted structure of a memo entry: the least model of its
-        subtree's instantiated schemata, restricted to the part its root
-        reaches, or None when that model is not well defined.
-
-        Computed once per entry, by features.solve_rooted from its
-        daughters' structures and its own rule's schemata, with an explicit
-        stack so that deep unary chains need no recursion.  None here means
-        exactly that solve rejects the subtree's equations.
-        """
-        done = self.structures
-        productions, lexicon = self.g._rooted_rules
-        todo = [node]
-        while todo:
-            n = todo[-1]
-            if id(n) in done:
-                todo.pop()
-                continue
-            seq, _, children = n
-            rule = seq[0]
-            if rule >= len(productions):
-                # a lexicon rule over its leaf
-                done[id(n)] = lexicon[rule - len(productions)]
-                todo.pop()
-                continue
-            waiting = [c for c, _ in children if id(c) not in done]
-            if waiting:
-                todo.extend(waiting)
-                continue
-            todo.pop()
-            equations, names = productions[rule]
-            parts = [done[id(c)] for c, _ in children]
-            done[id(n)] = None if None in parts else solve_rooted(equations, ROOT, zip(names, parts))
-        return done[id(node)]
 
     def nodes(self) -> Iterator[tuple]:
         """The trees of the start category over the whole word, by size and
@@ -706,7 +771,7 @@ def _node_edges(node) -> tuple[dict[TreeAddress, str], list[tuple[Schema, TreeAd
         if n[0] == _LEAF:
             categories[addr] = n[1]
             continue
-        _, cat, children = n
+        cat, children = n[1], n[2]
         categories[addr] = cat
         for k in range(len(children), 0, -1):
             child, schema = children[k - 1]
@@ -734,9 +799,9 @@ def enumerate_cstructures(
     consistent; pair with generates_check to decide grammaticality.  Only
     the sizes that the word's context-free backbone (its size chart) admits
     are searched, so a word outside the backbone yields nothing after its
-    chart is built.  sug_membership reads the same stream but skips, unbuilt
-    and unsolved, every structure whose rooted feature structure shows it
-    inconsistent; this stream holds them all.
+    chart is built.  sug_membership searches the same memo packed, one least
+    subtree per rooted feature structure, with no inconsistent one; this
+    stream holds them all.
     """
     w = terminal_word(word, g.terminals, g.single_char_terminals)
     stats = stats if stats is not None else SearchStats()
@@ -745,26 +810,27 @@ def enumerate_cstructures(
 
 
 def sug_membership(g: SimpleUnificationGrammar, w: Word | str, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
-    """Search the c-structure stream for one that generates a model.
+    """Search the c-structures of the word for one that generates a model.
 
-    This is the reference semantics: it tries every c-structure of the
-    enumerate_cstructures stream, in its order and within budget, and
-    returns the first whose equations solve finds consistent, with solve's
-    model.  Subtrees are shared between candidates, and each carries its
-    rooted structure, built once from its daughters' (see
-    _SizedCsEnumerator.rooted); a candidate whose rooted structure is None
-    is inconsistent and skipped unsolved.  Only a survivor is solved, from
-    the equations of its node tree, the set and name domain generates_check
-    would use; a survivor that solve rejected would continue the stream.
-    Only the witness is built as a CStructure.  Exponential; meant for
-    desk-scale inputs and for cross-checking the fixpoint engine.
+    This is the reference semantics: its witness is the first c-structure
+    of the enumerate_cstructures stream whose equations solve finds
+    consistent, with solve's model.  It reads the stream's memo packed (see
+    _SizedCsEnumerator): per (category, span, size) one least subtree for
+    each rooted feature structure, and none whose structure is
+    inconsistent.  A tree's structure is None exactly when solve rejects its
+    equations (features.solve_rooted), and the least tree of each class
+    survives the packing, so the first root entry, in order of size and
+    rule sequence, is the stream's first consistent tree.  It is still
+    solved from the equations of its node tree, over the name domain
+    generates_check would use, and solve's verdict is final: a rejected root
+    entry would continue the search.  stats.trees counts the root entries
+    read, one per class.  Only the witness is built as a CStructure.
+    Exponential in the distinct analyses; meant for desk-scale inputs and
+    for cross-checking the fixpoint engine.
     """
     stats = SearchStats()
     word = terminal_word(w, g.terminals, g.single_char_terminals)
-    candidates = _SizedCsEnumerator(g, word, budget, stats)
-    for node in candidates.nodes():
-        if candidates.rooted(node) is None:
-            continue
+    for node in _SizedCsEnumerator(g, word, budget, stats, packed=True).nodes():
         categories, edges = _node_edges(node)
         result = solve(_equations(edges), categories.keys())
         if isinstance(result, Consistent):

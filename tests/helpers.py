@@ -10,9 +10,11 @@ structure isomorphism by canonical relabeling.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import random
 import sys
-from itertools import product
+from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 from glab import (
     DOWN,
@@ -48,6 +50,17 @@ from glab.indexed import terminal_symbols
 from glab.stackengine import POP
 
 FUZZ_BUDGET = Budget(max_nodes=512, max_stack=16, max_states=4000, max_demand=8)
+ROOT_DIR = Path(__file__).resolve().parent.parent
+
+
+def bench_module(name: str):
+    """A module of the benchmark in bench/, such as its corpora, loaded by
+    path under the name bench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT_DIR / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @contextlib.contextmanager
@@ -434,3 +447,51 @@ def unary_chain(links: int, empty_entry: bool = False) -> SimpleUnificationGramm
     if empty_entry:
         lines.append("lex E -> _ { }")
     return parse_unification_grammar("\n".join(lines) + "\n")
+
+
+def fixpoint_size_chart(g: SimpleUnificationGrammar, word, max_nodes: int) -> dict:
+    """The size chart of a word by chaotic iteration over the whole chart:
+    every (category, i, j) with a tree over word[i:j] of at most max_nodes
+    nodes, mapped to the bitmask of those sizes.  Each production runs over
+    every span, every cut of the span into its daughters' slices included,
+    and reruns whenever a mask of one of its daughters' categories grows,
+    until none grows; no span order and no rule order is assumed."""
+    n = len(word)
+    cap = (1 << max_nodes + 1) - 1
+    spans = [(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    chart: dict = {}
+    for r in g.lexicon:
+        for i, j in spans:
+            if word[i:j] == ((r.word,) if r.word else ()):
+                chart[(r.mother, i, j)] = chart.get((r.mother, i, j), 0) | 4 & cap
+    readers: dict = {}
+    for k, p in enumerate(g.productions):
+        for d in p.daughters:
+            readers.setdefault(d.category, []).append(k)
+    todo = list(range(len(g.productions)))
+    queued = set(todo)
+    while todo:
+        k = todo.pop()
+        queued.discard(k)
+        p = g.productions[k]
+        for i, j in spans:
+            sizes = 0
+            for cuts in combinations_with_replacement(range(i, j + 1), len(p.daughters) - 1):
+                bounds = (i, *cuts, j)
+                acc = 1  # the sizes of the daughters placed so far, as shifts
+                for d, a, b in zip(p.daughters, bounds, bounds[1:]):
+                    mask, shifted = chart.get((d.category, a, b), 0), 0
+                    while mask:
+                        low = mask & -mask
+                        shifted |= acc << low.bit_length() - 1
+                        mask ^= low
+                    acc = shifted & cap
+                sizes |= acc << 1 & cap
+            have = chart.get((p.mother, i, j), 0)
+            if sizes | have != have:
+                chart[(p.mother, i, j)] = sizes | have
+                for q in readers.get(p.mother, ()):
+                    if q not in queued:
+                        queued.add(q)
+                        todo.append(q)
+    return {key: sizes for key, sizes in chart.items() if sizes}

@@ -131,6 +131,13 @@ def test_questions_include_the_long_unary_chain():
     assert [qid for qid in ids if qid.startswith("chain")] == ["chain600/a/member", "chain600/a/stream", "chain600/language/1"]
 
 
+def test_questions_include_the_reference_targets():
+    ids = [qid for qid, _, _ in differential._reference_target_questions()]
+    # #67's 15 words up to length 3, ddddd and the long chain
+    assert len(ids) == 17 and "reference/acceptance4/67/aaa/member" in ids
+    assert ids[-2:] == ["reference/example2_u.ugr/ddddd/member", "reference/chain2000/a/member"]
+
+
 def test_construction_questions_ask_each_rewrite_of_each_grammar_kind():
     ids = [qid for qid, _, _ in differential._construction_questions()]
     rewrites = {}

@@ -1,13 +1,26 @@
 """The searches of the reference side: the c-structure enumerator's memo walk
-on long unary chains, and the cycle search of the well-definedness check."""
+on long unary chains, answers that once took seconds, and the cycle search
+of the well-definedness check."""
 
 import random
 from graphlib import TopologicalSorter
+from pathlib import Path
 
 import pytest
 
-from glab import ROOT, FeatureStructure, delta_path, enumerate_cstructures, sug_language_upto, sug_membership, well_defined_check
+from glab import (
+    ROOT,
+    FeatureStructure,
+    delta_path,
+    enumerate_cstructures,
+    parse_unification_grammar,
+    sug_language_upto,
+    sug_membership,
+    well_defined_check,
+)
 from helpers import shallow_recursion, unary_chain
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.mark.parametrize("empty_entry", [False, True], ids=["plain", "empty-entry"])
@@ -20,6 +33,17 @@ def test_reference_engine_walks_long_unary_chains_without_recursion(empty_entry)
     assert r.member and not r.exhausted
     assert len(structures) == 1 and structures[0].domain.height == 151
     assert words == (("a",),)
+
+
+def test_ddddd_and_a_chain_of_2000_links_are_answered_under_the_default_budget():
+    # B -> B is a unit cycle, so every span admits sizes up to max_nodes;
+    # the packed memo keeps no inconsistent subtree, so no root is read
+    g = parse_unification_grammar((FIXTURES / "example2_u.ugr").read_text())
+    r = sug_membership(g, "ddddd")
+    assert not r.member and not r.exhausted and r.reasons == () and r.stats.trees == 0
+    # listed mother-first, the chain's size chart is complete in one pass
+    r = sug_membership(unary_chain(2000), "a")
+    assert r.member and not r.exhausted and r.witness.domain.height == 2001
 
 
 def _random_structure(rng: random.Random) -> FeatureStructure:

@@ -11,10 +11,8 @@ has answered other questions first, longer or shorter, gives every answer,
 witness, model, reasons and work counter that a freshly parsed copy gives.
 """
 
-import importlib.util
 import itertools
 import random
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,23 +36,15 @@ from glab import (
 )
 from glab.stackengine import Fixpoint, Machine
 
-from helpers import FUZZ_BUDGET, clashing_pops, rand_general_ugi, rand_reduced_marked_indexed, rand_reduced_ugi
+from helpers import FUZZ_BUDGET, bench_module, clashing_pops, rand_general_ugi, rand_reduced_marked_indexed, rand_reduced_ugi
 
 ROOT_DIR = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT_DIR / "fixtures"
 
 
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT_DIR / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _fuzz_pool():
     """The fuzz-equiv benchmark's pool: each case's grammar and its rewrite."""
-    corpora = _bench_module("corpora")
+    corpora = bench_module("corpora")
     rewrite = {"u": lambda g: u_transform(g)[0], "mark": mark_index_end, "normalize": ugi_normalize, "sink": sink_map_root}
     for case in corpora.fuzz_corpus(random.Random(0), 25):
         yield case.grammar

@@ -25,7 +25,11 @@ on top of it:
 - grammars with arbitrary schemata from tests/helpers.py, every word up to
   length 3: the stream and sug_membership;
 - the unary chain S -> C0 -> ... -> C599 -> a of tests/helpers.py: the
-  membership of a, its stream and the language to length 1.
+  membership of a, its stream and the language to length 1;
+- inputs that the engine once answered only in seconds or at a cap:
+  sug_membership of every word up to length 3 on the image of acceptance
+  check 4's grammar #67 (0-based) under the fuzz budget, of ddddd on
+  fixtures/example2_u.ugr, and of a on the unary chain of 2,000 links.
 
 A membership also records the states, steps and improved of its search when
 its result carries stats, and leaves them out when it does not.  A question
@@ -114,6 +118,8 @@ ARBITRARY_SEED = 1995
 ARBITRARY_GRAMMARS = 150
 ARBITRARY_BUDGET = Budget(max_nodes=9, max_trees=200)
 CHAIN_LINKS = 600
+LONG_CHAIN_LINKS = 2000
+ACCEPTANCE4_GRAMMAR = 67
 DEEP_SEEDS = (1, 2, 3)
 STACK_FIXTURE_BUDGETS = {
     "default": glab.DEFAULT_BUDGET,
@@ -267,6 +273,20 @@ def _chain_questions():
     yield f"{key}/a/member", _membership, (g, "a", glab.DEFAULT_BUDGET)
     yield f"{key}/a/stream", _stream, (g, "a", glab.DEFAULT_BUDGET)
     yield f"{key}/language/1", _language, (g, 1, glab.DEFAULT_BUDGET)
+
+
+def _reference_target_questions():
+    from helpers import FUZZ_BUDGET, all_words, rand_reduced_marked_indexed, unary_chain
+
+    rng = random.Random(40426)  # acceptance check 4's seed
+    for _ in range(ACCEPTANCE4_GRAMMAR + 1):
+        gi = rand_reduced_marked_indexed(rng)
+    g = glab.u_transform(gi)[0]
+    for word in all_words(g.terminals, 3):
+        key = f"reference/acceptance4/{ACCEPTANCE4_GRAMMAR}/{_word_id(g, word)}"
+        yield f"{key}/member", _membership, (g, word, FUZZ_BUDGET)
+    yield "reference/example2_u.ugr/ddddd/member", _membership, (_fixture("example2_u.ugr"), "ddddd", glab.DEFAULT_BUDGET)
+    yield f"reference/chain{LONG_CHAIN_LINKS}/a/member", _membership, (unary_chain(LONG_CHAIN_LINKS), "a", glab.DEFAULT_BUDGET)
 
 
 def _tree_text(t) -> str:
@@ -601,6 +621,7 @@ def questions():
     yield from _fixture_questions()
     yield from _arbitrary_questions()
     yield from _chain_questions()
+    yield from _reference_target_questions()
     yield from _fuzz_pool_questions()
     for seed in DEEP_SEEDS:
         yield from _deep_questions(seed)
